@@ -205,39 +205,28 @@ def _candidate_pair(q: int, rng: np.random.Generator, max_points: int):
     return (pts_a, w_a), (pts_b, w_b)
 
 
-def _mix_grid(table: np.ndarray, point_sets) -> np.ndarray:
-    """sum_tau psi(tau) prod_i mu_i(tau_i) on the product grid of supports.
-
-    ``point_sets[i]`` is an (s_i, q) matrix; the result has shape
-    (s_1, ..., s_k).
-    """
-    tmp = table
-    for i, pts in enumerate(point_sets):
-        tmp = np.tensordot(pts, tmp, axes=([1], [i]))
-        tmp = np.moveaxis(tmp, 0, i)
-    return tmp
-
-
 def _expected_lambda(family: WeightFamily, k: int, point_sets, weight_sets) -> float:
-    """E[Lambda(mix)] over iid population draws per slot and the table choice."""
-    w_outer = weight_sets[0]
-    for w in weight_sets[1:]:
-        w_outer = np.multiply.outer(w_outer, w)
-    coefs = family.product_form_coefficients(k)
-    if coefs is not None:
-        # two-spin parity tables: the mix is 1 + c * prod of point biases
-        bias = point_sets[0][:, 0] - point_sets[0][:, 1]
-        for pts in point_sets[1:]:
-            bias = np.multiply.outer(bias, pts[:, 0] - pts[:, 1])
-        grid = 1.0 + coefs.reshape((-1,) + (1,) * k) * bias
-        lam = grid * np.log(grid)
-        per_table = (lam * w_outer).reshape(len(coefs), -1).sum(axis=1)
-        return float(np.dot(family.masses[k], per_table))
-    total = 0.0
-    for mass, table in zip(family.masses[k], family.tables[k]):
-        grid = _mix_grid(table, point_sets)
-        total += mass * float(np.sum(w_outer * grid * np.log(grid)))
-    return total
+    """E[Lambda(mix)] over iid population draws per slot and the table choice.
+
+    ``point_sets[i]`` is the (s_i, q) support of slot i.  Every table's
+    message at the last slot is taken on the product grid of the other
+    supports, and mix = sum_s S(s) mu(s) closes it with every last point.
+    """
+    form = family.compiled.arity[k]
+    sizes = [len(pts) for pts in point_sets[:-1]]
+    idx = np.indices(sizes).reshape(k - 1, math.prod(sizes))
+    grid = np.empty((idx.shape[1], k - 1, family.q))
+    weights = np.ones(idx.shape[1])
+    for j in range(k - 1):
+        grid[:, j] = point_sets[j][idx[j]]
+        weights = weights * weight_sets[j][idx[j]]
+    n_tables = len(form.masses)
+    rows = n_tables * len(grid)
+    messages = family.contract(np.full(rows, k), np.repeat(np.arange(n_tables), len(grid)),
+                               np.tile(grid, (n_tables, 1, 1)), np.full(rows, k - 1))
+    mix = (messages @ point_sets[-1].T).reshape(n_tables, -1)
+    weights = np.multiply.outer(weights, weight_sets[-1]).ravel()
+    return float(form.masses @ ((mix * np.log(mix)) @ weights))
 
 
 def pos_margin(family: WeightFamily, k: int, pop_a, pop_b) -> float:

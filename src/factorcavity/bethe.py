@@ -168,90 +168,70 @@ def _draw_edge_ingredients(family: WeightFamily, khat: DegreeSpec, count: int,
     """Per-edge (arity, table id) draws for ``count`` incoming edges."""
     ks = khat.sample(rng, count)
     tables = np.empty(count, dtype=np.int64)
-    for k in set(int(v) for v in ks):
+    for k in np.unique(ks).tolist():
         sel = np.flatnonzero(ks == k)
         tables[sel] = rng.choice(family.n_tables(k), size=len(sel),
-                                 p=family.masses[k])
+                                 p=family.compiled.arity[k].masses)
     return ks, tables
+
+
+def _all_parity(family: WeightFamily, ks) -> bool:
+    return all(family.compiled.arity[k].parity is not None
+               for k in np.unique(ks).tolist())
+
+
+def _draw_slot_points(pop: SimplexPopulation, slots: np.ndarray, parity: bool,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Population points for ``slots[i]`` slots of row i, (rows, max slots, q).
+
+    Parity batches draw the points row after row, other batches one column
+    of all rows per slot: the seeded streams of both paths keep their order.
+    """
+    out = np.zeros((len(slots), int(slots.max(initial=0)), pop.q))
+    if parity:
+        out[np.arange(out.shape[1]) < slots[:, None]] = pop.draw(rng, int(slots.sum()))
+    else:
+        for j in range(out.shape[1]):
+            out[:, j] = pop.draw(rng, len(slots))
+    return out
 
 
 def _edge_messages(family: WeightFamily, pop: SimplexPopulation, ks, tables,
                    rng: np.random.Generator) -> np.ndarray:
     """S_e(spin) for each edge: the table contracted with k-1 point draws.
 
-    Uses the parity closed form for two-spin product-form families and a
-    grouped tensor contraction otherwise.
+    Parity tables are symmetric in their slots, so only other tables draw
+    the open slot.
     """
-    q = family.q
-    count = len(ks)
-    out = np.empty((count, q))
-    if count == 0:
-        return out
-    coef_map = {k: family.product_form_coefficients(k) for k in set(int(v) for v in ks)}
-    if all(c is not None for c in coef_map.values()):
-        neigh = np.asarray(ks) - 1
-        pts = pop.draw(rng, int(neigh.sum()))
-        bias = pts[:, 0] - pts[:, 1]
-        offsets = np.concatenate([[0], np.cumsum(neigh)[:-1]]).astype(np.int64)
-        prod = np.ones(count)
-        nonzero = neigh > 0
-        if np.any(nonzero):
-            prods = np.multiply.reduceat(np.concatenate([bias, [1.0]]), offsets)
-            prod = np.where(nonzero, prods, 1.0)
-        coefs = np.array([coef_map[int(k)][t] for k, t in zip(ks, tables)])
-        out[:, 0] = 1.0 + coefs * prod
-        out[:, 1] = 1.0 - coefs * prod
-        return out
-
-    hs = np.empty(count, dtype=np.int64)
-    for k in set(int(v) for v in ks):
-        sel = np.flatnonzero(ks == k)
-        hs[sel] = rng.integers(0, k, size=len(sel))
-    pts_all = [pop.draw(rng, count) for _ in range(int(max(ks)) - 1)] \
-        if count else []
-    for key in sorted({(int(k), int(t), int(h)) for k, t, h in zip(ks, tables, hs)}):
-        k, t, h = key
-        sel = np.flatnonzero((ks == k) & (tables == t) & (hs == h))
-        table = np.moveaxis(family.table(k, t), h, 0).reshape(q, -1)
-        grid = np.ones((len(sel), 1))
-        for j in range(k - 1):
-            pts = pts_all[j][sel]
-            grid = (grid[:, :, None] * pts[:, None, :]).reshape(len(sel), -1)
-        out[sel] = grid @ table.T
-    return out
+    parity = _all_parity(family, ks)
+    hs = np.zeros(len(ks), dtype=np.int64)
+    if not parity:
+        for k in np.unique(ks).tolist():
+            sel = np.flatnonzero(ks == k)
+            hs[sel] = rng.integers(0, k, size=len(sel))
+    pts = _draw_slot_points(pop, ks - 1, parity, rng)
+    return family.contract(ks, tables, pts, hs)
 
 
 def _factor_mixes(family: WeightFamily, kspec: DegreeSpec, pop: SimplexPopulation,
                   count: int, rng: np.random.Generator):
     """(k, mix) per sample for the factor-side term."""
-    ks = kspec.sample(rng, count)
-    tables = np.empty(count, dtype=np.int64)
-    for k in set(int(v) for v in ks):
-        sel = np.flatnonzero(ks == k)
-        tables[sel] = rng.choice(family.n_tables(k), size=len(sel),
-                                 p=family.masses[k])
-    mixes = np.empty(count)
-    if count == 0:
-        return ks, mixes
-    coef_map = {k: family.product_form_coefficients(k) for k in set(int(v) for v in ks)}
-    if all(c is not None for c in coef_map.values()):
-        pts = pop.draw(rng, int(np.asarray(ks).sum()))
-        bias = pts[:, 0] - pts[:, 1]
-        offsets = np.concatenate([[0], np.cumsum(ks)[:-1]]).astype(np.int64)
-        prods = np.multiply.reduceat(np.concatenate([bias, [1.0]]), offsets)
-        prods = np.where(np.asarray(ks) > 0, prods, 1.0)
-        coefs = np.array([coef_map[int(k)][t] for k, t in zip(ks, tables)])
-        mixes = 1.0 + coefs * prods
-        return ks, mixes
-    pts_all = [pop.draw(rng, count) for _ in range(int(max(ks)))] if count else []
-    for key in sorted({(int(k), int(t)) for k, t in zip(ks, tables)}):
-        k, t = key
-        sel = np.flatnonzero((ks == k) & (tables == t))
-        grid = np.ones((len(sel), 1))
-        for j in range(k):
-            grid = (grid[:, :, None] * pts_all[j][sel][:, None, :]).reshape(len(sel), -1)
-        mixes[sel] = grid @ family.table(k, t).ravel()
-    return ks, mixes
+    ks, tables = _draw_edge_ingredients(family, kspec, count, rng)
+    pts = _draw_slot_points(pop, ks, _all_parity(family, ks), rng)
+    return ks, family.contract(ks, tables, pts)
+
+
+def _log_products(messages: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Per-variable sums of log message components, (len(degrees), q).
+
+    Variable i owns the next ``degrees[i]`` rows of ``messages``; a variable
+    of degree 0 gets zeros.
+    """
+    if np.any(~np.isfinite(messages)) or np.any(messages <= 0):
+        raise NumericalUnderflow("message component out of range")
+    offsets = np.concatenate([[0], np.cumsum(degrees)[:-1]]).astype(np.int64)
+    padded = np.concatenate([np.log(messages), np.zeros((1, messages.shape[1]))])
+    return np.where(degrees[:, None] > 0, np.add.reduceat(padded, offsets, axis=0), 0.0)
 
 
 def _variable_samples(model, pop: SimplexPopulation, count: int,
@@ -263,16 +243,7 @@ def _variable_samples(model, pop: SimplexPopulation, count: int,
     ds = model.dspec.sample(rng, count)
     total_edges = int(ds.sum())
     ks, tables = _draw_edge_ingredients(model.family, khat, total_edges, rng)
-    s_edges = _edge_messages(model.family, pop, ks, tables, rng)
-    if np.any(s_edges <= 0):
-        raise NumericalUnderflow("nonpositive message component")
-    logs = np.log(s_edges)
-    offsets = np.concatenate([[0], np.cumsum(ds)[:-1]]).astype(np.int64)
-    per_sigma = np.empty((count, q))
-    padded = np.concatenate([logs, np.zeros((1, q))])
-    for w in range(q):
-        sums = np.add.reduceat(padded[:, w], offsets)
-        per_sigma[:, w] = np.where(ds > 0, sums, 0.0)
+    per_sigma = _log_products(_edge_messages(model.family, pop, ks, tables, rng), ds)
     shifted = per_sigma - (ds * log_xi)[:, None]
     mx = shifted.max(axis=1)
     ratio = np.exp(shifted - mx[:, None]).sum(axis=1) * np.exp(mx)
@@ -362,16 +333,7 @@ def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
             dstar = excess.sample(rng, b)
             total = int(dstar.sum())
             ks, tables = _draw_edge_ingredients(model.family, khat, total, rng)
-            s_edges = _edge_messages(model.family, pop, ks, tables, rng)
-            if np.any(~np.isfinite(s_edges)) or np.any(s_edges <= 0):
-                raise NumericalUnderflow("message component out of range")
-            logs = np.log(s_edges)
-            offsets = np.concatenate([[0], np.cumsum(dstar)[:-1]]).astype(np.int64)
-            padded = np.concatenate([logs, np.zeros((1, q))])
-            acc = np.empty((b, q))
-            for w in range(q):
-                sums = np.add.reduceat(padded[:, w], offsets)
-                acc[:, w] = np.where(dstar > 0, sums, 0.0)
+            acc = _log_products(_edge_messages(model.family, pop, ks, tables, rng), dstar)
             acc -= acc.max(axis=1, keepdims=True)
             new_pts = np.exp(acc)
             norms = new_pts.sum(axis=1, keepdims=True)

@@ -155,9 +155,9 @@ def _two_point_from_joint(joint: np.ndarray, marg: np.ndarray) -> float:
 def two_point(g: FactorGraph, *, cap: int = STATE_CAP) -> float:
     """Averaged absolute pair-correlation of the Boltzmann distribution.
 
-    For q = 2 this is the mean over ordered pairs (x, y), diagonal included,
-    of |mu(s_x = s_y = +1) - mu(s_x = +1) mu(s_y = +1)|; for larger alphabets
-    the worst spin pair is taken at every (x, y).
+    For q = 2 this is |mu(s_x = s_y = +1) - mu(s_x = +1) mu(s_y = +1)|
+    summed over ordered pairs (x, y) of distinct variables and divided by
+    n^2; for larger alphabets the worst spin pair is taken at every (x, y).
     """
     return float(partition_function(g, cap=cap, want_pairs=True).two_point)
 
@@ -275,22 +275,6 @@ def expected_weight(seq: DegreeSequence, family: WeightFamily, sigma,
     for t in range(s_total):
         denom *= (total - t)
     return out / denom
-
-
-def expected_partition(seq: DegreeSequence, family: WeightFamily,
-                       *, cap: int = PAIRING_TERM_CAP) -> float:
-    """E[Z | degree sequence] by slot-map enumeration (pins absent)."""
-    q = family.q
-    total = 0.0
-    for slot_map, prob in iter_slot_maps(seq, cap=cap):
-        z = 0.0
-        for sigma in np.ndindex(*(q,) * seq.n):
-            w = 1.0
-            for fv, k in zip(slot_map, seq.factor_arities):
-                w *= float(family.mean_table(k)[tuple(sigma[v] for v in fv)])
-            z += w
-        total += prob * z
-    return total
 
 
 def nishimori_check(n: int, dspec, kspec, family: WeightFamily, tol: float,
@@ -541,20 +525,26 @@ class BPState:
 
 
 def _edge_index(g: FactorGraph):
-    edge_var = []
-    edges_of_factor = []
-    e = 0
-    for j in range(g.m):
-        ids = []
-        for v in g.factor_vars[j]:
-            edge_var.append(v)
-            ids.append(e)
-            e += 1
-        edges_of_factor.append(ids)
+    """Each clone edge's variable and each variable's edges; edges are
+    numbered factor by factor, slot by slot."""
+    edge_var = [v for fv in g.factor_vars for v in fv]
     edges_of_var = [[] for _ in range(g.n)]
     for e, v in enumerate(edge_var):
         edges_of_var[v].append(e)
-    return np.asarray(edge_var), edges_of_factor, edges_of_var
+    return np.asarray(edge_var, dtype=np.int64), edges_of_var
+
+
+def _factor_slots(g: FactorGraph):
+    """Per-factor arity and table id, and the edge on each factor slot.
+
+    The slot matrix is (m, max arity); entries past a factor's arity repeat
+    a valid edge and are never read.
+    """
+    ks = np.array([len(fv) for fv in g.factor_vars], dtype=np.int64)
+    start = np.cumsum(ks) - ks
+    last_edge = max(int(ks.sum()) - 1, 0)
+    slots = np.minimum(start[:, None] + np.arange(ks.max(initial=0)), last_edge)
+    return ks, np.asarray(g.factor_tables, dtype=np.int64), slots
 
 
 def _pin_fields(g: FactorGraph) -> np.ndarray:
@@ -576,13 +566,25 @@ def bp_run(g: FactorGraph, max_iters: int = 1000, damping: float = 0.5,
     carry independent messages.  Pins act as hard unary fields on the
     variable side.  Non-convergence is reported on the returned state, not
     raised.
+
+    Messages start uniform, and uniform messages are a fixed point on any
+    unpinned graph of a spin-symmetric family: such a run reports
+    ``converged`` after one sweep with every marginal uniform, whatever the
+    graph's planted signal.
     """
     if not 0 <= damping < 1:
         raise ValueError("damping must be in [0, 1)")
-    edge_var, edges_of_factor, edges_of_var = _edge_index(g)
+    edge_var, edges_of_var = _edge_index(g)
     n_edges = len(edge_var)
     q = g.q
     fields = _pin_fields(g)
+    ks, tables, slots = _factor_slots(g)
+    # edge e sits on slot open_slot[e] of factor factor_of[e]; the factor's
+    # other slots feed its message, in slot order
+    factor_of = np.repeat(np.arange(g.m), ks)
+    open_slot = np.arange(n_edges) - np.repeat(np.cumsum(ks) - ks, ks)
+    pos = np.arange(slots.shape[1] - 1)
+    others = slots[factor_of[:, None], pos + (pos >= open_slot[:, None])]
 
     v2f = np.full((n_edges, q), 1.0 / q)
     f2v = np.full((n_edges, q), 1.0 / q)
@@ -590,21 +592,10 @@ def bp_run(g: FactorGraph, max_iters: int = 1000, damping: float = 0.5,
     change = np.inf
     iters = 0
     for iters in range(1, max_iters + 1):
-        # factor -> variable
-        new_f2v = np.empty_like(f2v)
-        for j in range(g.m):
-            ids = edges_of_factor[j]
-            k = len(ids)
-            table = g.factor_table(j)
-            incoming = [v2f[e] for e in ids]
-            for s in range(k):
-                tmp = table
-                for t in range(k - 1, -1, -1):
-                    if t == s:
-                        continue
-                    tmp = np.tensordot(tmp, incoming[t], axes=([t], [0]))
-                tmp = np.clip(tmp, 0.0, None)
-                new_f2v[ids[s]] = tmp / tmp.sum()
+        new_f2v = g.family.contract(ks[factor_of], tables[factor_of], v2f[others],
+                                    open_slot)
+        new_f2v = np.clip(new_f2v, 0.0, None)
+        new_f2v /= new_f2v.sum(axis=1, keepdims=True)
 
         # variable -> factor, leave-one-out products with the pin field
         new_v2f = np.empty_like(v2f)
@@ -639,17 +630,17 @@ def bp_run(g: FactorGraph, max_iters: int = 1000, damping: float = 0.5,
     return BPState(g, v2f, f2v, iters, change, False)
 
 
-def bp_marginals(state: BPState) -> np.ndarray:
+def _beliefs(state: BPState) -> np.ndarray:
+    """Unnormalised beliefs: each pin field times the variable's incoming messages."""
     g = state.graph
-    _, _, edges_of_var = _edge_index(g)
-    fields = _pin_fields(g)
-    out = np.empty((g.n, g.q))
-    for v in range(g.n):
-        belief = fields[v].copy()
-        for e in edges_of_var[v]:
-            belief *= state.fac_to_var[e]
-        out[v] = belief / belief.sum()
-    return out
+    beliefs = _pin_fields(g)
+    np.multiply.at(beliefs, _edge_index(g)[0], state.fac_to_var)
+    return beliefs
+
+
+def bp_marginals(state: BPState) -> np.ndarray:
+    beliefs = _beliefs(state)
+    return beliefs / beliefs.sum(axis=1, keepdims=True)
 
 
 def bethe_instance(state: BPState) -> float:
@@ -658,21 +649,8 @@ def bethe_instance(state: BPState) -> float:
     Variable, factor and edge terms; exact log Z when the graph is a tree
     and the messages are at the fixed point.
     """
-    g = state.graph
-    edge_var, edges_of_factor, edges_of_var = _edge_index(g)
-    fields = _pin_fields(g)
-    total = 0.0
-    for j in range(g.m):
-        ids = edges_of_factor[j]
-        tmp = g.factor_table(j)
-        for t in range(len(ids) - 1, -1, -1):
-            tmp = np.tensordot(tmp, state.var_to_fac[ids[t]], axes=([t], [0]))
-        total += math.log(float(tmp))
-    for v in range(g.n):
-        belief = fields[v].copy()
-        for e in edges_of_var[v]:
-            belief *= state.fac_to_var[e]
-        total += math.log(float(belief.sum()))
-    for e in range(len(edge_var)):
-        total -= math.log(float(np.dot(state.fac_to_var[e], state.var_to_fac[e])))
-    return total
+    ks, tables, slots = _factor_slots(state.graph)
+    factor = np.log(state.graph.family.contract(ks, tables, state.var_to_fac[slots])).sum()
+    variable = np.log(_beliefs(state).sum(axis=1)).sum()
+    edge = np.log((state.fac_to_var * state.var_to_fac).sum(axis=1)).sum()
+    return float(factor + variable - edge)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -161,6 +161,20 @@ class DegreeSequence:
         return self.cavity_count == 0
 
 
+class CompiledArity(NamedTuple):
+    """One arity of a weight family in the form the contraction kernel reads."""
+
+    flat: np.ndarray                 # (tables, q**k), row-major spin order
+    masses: np.ndarray               # choice probability per table
+    parity: Optional[np.ndarray]     # c per table with table == 1 + c * parity
+
+
+class CompiledFamily(NamedTuple):
+    arity: dict                      # k -> CompiledArity
+    xi: float                        # mean of all marginal sums
+    xi_spread: float                 # max minus min of all marginal sums
+
+
 @dataclass(frozen=True, eq=False)
 class WeightFamily:
     """A finite set of positive weight tables per arity, with choice masses.
@@ -257,29 +271,74 @@ class WeightFamily:
 
     def xi(self, tol: float = 1e-9) -> float:
         """The common marginal-sum constant; raises if it is not constant."""
-        sums = self.marginal_sums()
-        values = np.concatenate([v.ravel() for v in sums.values()])
-        if values.max() - values.min() > tol:
-            raise SymViolation(
-                f"marginal sums spread {values.max() - values.min():.3g} exceeds {tol:.3g}")
-        return float(values.mean())
+        spread = self.compiled.xi_spread
+        if spread > tol:
+            raise SymViolation(f"marginal sums spread {spread:.3g} exceeds {tol:.3g}")
+        return self.compiled.xi
 
-    def product_form_coefficients(self, k: int) -> Optional[np.ndarray]:
-        """Per-table c with table == 1 + c * prod(spins), or None.
+    @cached_property
+    def compiled(self) -> CompiledFamily:
+        """Flattened tables, masses, parity coefficients and xi, built once."""
+        arity = {}
+        for k, tabs in self.tables.items():
+            flat = np.stack([t.ravel() for t in tabs])
+            arity[k] = CompiledArity(flat, self.masses[k],
+                                     _parity_coefficients(self.q, k, flat))
+        values = np.concatenate([v.ravel() for v in self.marginal_sums().values()])
+        return CompiledFamily(arity, float(values.mean()),
+                              float(values.max() - values.min()))
 
-        Only meaningful for q == 2 with the index-0-is-plus convention; used
-        by fast evaluation paths.  Exact match is required.
+    def contract(self, ks, tables, points: np.ndarray,
+                 open_slots=None) -> np.ndarray:
+        """Contract weight tables with population points, one row per table use.
+
+        Row i takes table ``tables[i]`` of arity ``ks[i]`` and its slot
+        points from ``points[i]``, a (rows, width, q) array whose slots past
+        the row's own count are never read.  With ``open_slots`` the result
+        is the (rows, q) message at slot h = ``open_slots[i]``,
+
+            S(s) = sum_tau 1{tau_h = s} psi(tau) prod_{j != h} mu_j(tau_j),
+
+        fed by ``points[i, :k-1]`` for the other slots in order.  Without it
+        the result is the (rows,) closed mix sum_tau psi(tau) prod_j
+        mu_j(tau_j) over ``points[i, :k]``: the message at the last slot
+        contracted with one more point, sum_s S(s) mu_k(s).  Parity arities
+        use S(+-) = 1 +- c prod_j (mu_j(0) - mu_j(1)), which needs points on
+        the simplex; other arities are contracted in groups of rows sharing
+        a table and an open slot.
         """
-        if self.q != 2:
-            return None
-        parity = _parity_tensor(k)
-        coefs = []
-        for t in self.tables[k]:
-            c = float(t[(0,) * k]) - 1.0
-            if not np.array_equal(t, 1.0 + c * parity):
-                return None
-            coefs.append(c)
-        return np.asarray(coefs)
+        ks = np.asarray(ks, dtype=np.int64)
+        tables = np.asarray(tables, dtype=np.int64)
+        closed = open_slots is None
+        q = self.q
+        out = np.empty((len(ks), 1 if closed else q))
+        for k in np.flatnonzero(np.bincount(ks)).tolist():
+            form = self.compiled.arity[k]
+            rows = np.flatnonzero(ks == k)
+            width = k if closed else k - 1
+            if form.parity is not None:
+                bias = points[rows, :width, 0] - points[rows, :width, 1]
+                cp = form.parity[tables[rows]] * np.prod(bias, axis=1)
+                if closed:
+                    out[rows, 0] = 1.0 + cp
+                else:
+                    out[rows] = np.stack([1.0 + cp, 1.0 - cp], axis=1)
+                continue
+            keys = tables[rows]
+            if not closed:
+                keys = keys * k + np.asarray(open_slots)[rows]
+            for key in np.flatnonzero(np.bincount(keys)).tolist():
+                sel = rows[keys == key]
+                if closed:
+                    table = form.flat[key][None]
+                else:
+                    t, h = divmod(key, k)
+                    table = np.moveaxis(form.flat[t].reshape((q,) * k), h, 0).reshape(q, -1)
+                grid = np.ones((len(sel), 1))
+                for j in range(width):
+                    grid = (grid[:, :, None] * points[sel, j][:, None, :]).reshape(len(sel), -1)
+                out[sel] = grid @ table.T
+        return out[:, 0] if closed else out
 
     def permuted_alphabet(self, perm: Sequence[int]) -> "WeightFamily":
         """The family with spins relabeled by perm (used in symmetry tests)."""
@@ -306,6 +365,19 @@ def _parity_tensor(k: int) -> np.ndarray:
     for idx in np.ndindex(*t.shape):
         t[idx] = (-1.0) ** (sum(idx) % 2)
     return t
+
+
+def _parity_coefficients(q: int, k: int, flat: np.ndarray) -> Optional[np.ndarray]:
+    """Per-table c with table == 1 + c * parity exactly, or None.
+
+    Only two-spin families qualify, with the index-0-is-plus convention.
+    """
+    if q != 2:
+        return None
+    coefs = flat[:, 0] - 1.0
+    if not np.array_equal(flat, 1.0 + coefs[:, None] * _parity_tensor(k).ravel()):
+        return None
+    return coefs
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,9 +36,6 @@ class ModelSpec:
         if not self.family.supports(self.kspec.support):
             raise ValueError("family arities must cover the arity spec")
 
-    def with_dspec(self, dspec: DegreeSpec) -> "ModelSpec":
-        return replace(self, dspec=dspec)
-
 
 def _snap(c: float) -> float:
     # keep 1 +- c exactly reconstructible from the stored tables

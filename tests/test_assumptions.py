@@ -83,21 +83,72 @@ def test_pos_fails_assortative():
     assert rep.info["semantics"] == "violation"
 
 
+def _generic_twin(fam):
+    """The same tables with parity detection cleared from the compiled form."""
+    twin = WeightFamily(q=fam.q, tables=fam.tables, masses=fam.masses)
+    compiled = twin.compiled
+    twin.__dict__["compiled"] = compiled._replace(arity={
+        k: form._replace(parity=None) for k, form in compiled.arity.items()})
+    return twin
+
+
+def _brute_contract(fam, k, t, row_points, h):
+    """Direct sum over spin tuples: the message at slot h, or the mix if h is None."""
+    table = fam.table(k, t)
+    out = np.zeros(fam.q)
+    for tau in np.ndindex(*table.shape):
+        others = [s for j, s in enumerate(tau) if j != h]
+        weight = table[tau] * np.prod([row_points[j][s] for j, s in enumerate(others)])
+        out[0 if h is None else tau[h]] += weight
+    return out[0] if h is None else out
+
+
 def test_pos_fast_path_matches_generic():
-    # the parity closed form must agree with the tensor contraction
-    fam = models.kspin(1.1, DegreeSpec.constant(2), r=2, d=2.0).family
+    # the parity closed form must agree with the grouped contraction
+    fam = models.kspin(1.1, K23, r=2, d=2.0).family
+    twin = _generic_twin(fam)
+    assert all(form.parity is not None for form in fam.compiled.arity.values())
     rng = np.random.default_rng(3)
     pts_a = rng.dirichlet([0.7, 0.7], size=3)
     pts_a = np.concatenate([pts_a, pts_a[:, ::-1]], axis=0)
     w_a = np.full(6, 1 / 6)
     pts_b = np.full((1, 2), 0.5)
     w_b = np.array([1.0])
-    fast = assumptions._expected_lambda(fam, 2, [pts_a, pts_b], [w_a, w_b])
-    slow = 0.0
-    for mass, table in zip(fam.masses[2], fam.tables[2]):
-        grid = assumptions._mix_grid(table, [pts_a, pts_b])
-        slow += mass * float(np.sum(np.multiply.outer(w_a, w_b) * grid * np.log(grid)))
-    assert fast == pytest.approx(slow, abs=1e-13)
+    for k, sets, wts in ((2, [pts_a, pts_b], [w_a, w_b]),
+                         (3, [pts_a, pts_b, pts_a], [w_a, w_b, w_a])):
+        fast = assumptions._expected_lambda(fam, k, sets, wts)
+        slow = assumptions._expected_lambda(twin, k, sets, wts)
+        assert fast == pytest.approx(slow, abs=1e-13)
+
+    # kernel rows at k = 2, k = 3 and mixed arities, closed mixes and messages;
+    # a random three-spin family has no slot symmetry to hide a wrong open slot
+    q3 = WeightFamily(q=3, tables={k: tuple(rng.uniform(0.5, 2.0, (2,) + (3,) * k))
+                                   for k in (2, 3)},
+                      masses={2: np.array([0.3, 0.7]), 3: np.array([0.6, 0.4])})
+    n = 40
+    for family, reference in ((fam, twin), (q3, None)):
+        points = rng.dirichlet([0.7] * family.q, size=(n, 3))
+        tables = rng.integers(0, 2, size=n)
+        for ks in (np.full(n, 2), np.full(n, 3), rng.choice([2, 3], size=n)):
+            hs = rng.integers(0, ks)
+            for open_slots in (None, hs):
+                got = family.contract(ks, tables, points, open_slots)
+                if reference is not None:
+                    want = reference.contract(ks, tables, points, open_slots)
+                    assert np.abs(got - want).max() <= 1e-13
+                for i in range(6):
+                    h = None if open_slots is None else hs[i]
+                    ref = _brute_contract(family, ks[i], tables[i], points[i], h)
+                    assert np.abs(got[i] - ref).max() <= 1e-13
+
+    # detection is an exact match on two-spin tables only
+    assert models.sbm(3, 1.0, 4).family.compiled.arity[2].parity is None
+    table = 1.0 + 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    exact_fam = WeightFamily(q=2, tables={2: (table,)}, masses={2: np.array([1.0])})
+    assert exact_fam.compiled.arity[2].parity.tolist() == [0.5]
+    table[1, 0] += 1e-9
+    near = WeightFamily(q=2, tables={2: (table,)}, masses={2: np.array([1.0])})
+    assert near.compiled.arity[2].parity is None
 
 
 def test_checkers_deterministic():

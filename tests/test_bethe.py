@@ -284,3 +284,91 @@ def test_lrc_bracket_reproducible_across_seeds():
         brackets.append(scan.bracket)
     assert brackets[0] == brackets[1]
     assert brackets[0] == (1.0, 4.0)
+
+
+# ---------------------------------------------------------------------------
+# seeded equivalence: pins the random-draw order of the Bethe pipeline
+# ---------------------------------------------------------------------------
+
+
+# (model, init) -> (sum of the first spin column, first two points,
+# estimate value, estimate stderr) for 5 sweeps of 200 points, seed 3,
+# and a 3000-sample estimate, seed 4
+_SEEDED_PD = {
+    ("ldgm", "uniform-perturbed"): (
+        100.0, [[0.5, 0.5], [0.5, 0.5]],
+        0.6931471805599454, 2.0273185627517274e-18),
+    ("ldgm", "planted-polarized"): (
+        99.99999335021278,
+        [[0.5000015250616059, 0.49999847493839406],
+         [0.5000017384193273, 0.4999982615806728]],
+        0.6931471805599454, 1.2179331749030557e-17),
+    ("kspin", "uniform-perturbed"): (
+        100.09495647649594,
+        [[0.5002203964862737, 0.49977960351372624],
+         [0.4946751397750602, 0.5053248602249398]],
+        0.6931485966952782, 1.1553858494175432e-06),
+    ("kspin", "planted-polarized"): (
+        99.31705674752705,
+        [[0.314098506905367, 0.685901493094633],
+         [0.6873301642230709, 0.31266983577692903]],
+        0.6933108045186195, 0.0004280557552450173),
+    ("sbm", "uniform-perturbed"): (
+        66.33875175285431,
+        [[0.3270940020486813, 0.342245586349428, 0.33066041160189064],
+         [0.30434121388523006, 0.3342647106532782, 0.3613940754614917]],
+        0.18556076713932862, 4.977481100080424e-05),
+    ("sbm", "planted-polarized"): (
+        98.24961335194376,
+        [[0.22434593495785354, 0.06311438602760605, 0.7125396790145404],
+         [0.4934281880764171, 0.11316512735155904, 0.3934066845720238]],
+        0.9752561980679828, 0.003045838558873531),
+}
+
+# model -> (sum of the first spin column of the BP marginals, marginals of
+# variables 1 and 2, instance Bethe free entropy) after 5 sweeps on an
+# n=200 planted graph with every tenth variable pinned, seed 1
+_SEEDED_BP = {
+    "sbm": (99.69006163101224,
+            [[0.3039804389498637, 0.6960195610501363],
+             [0.7818582641112408, 0.2181417358887592]],
+            -56.43018432270605),
+    "ldgm": (99.2975276704339,
+             [[0.78671875, 0.21328124999999998], [0.5, 0.5]],
+             124.34296082071099),
+}
+
+
+def test_seeded_values_reproduce():
+    from factorcavity import assumptions, exact, graphmodel
+
+    pd_models = {"ldgm": models.ldgm(0.3, DegreeSpec.constant(6), DegreeSpec.constant(3)),
+                 "kspin": models.kspin(1.0, K23),
+                 "sbm": models.sbm(3, 2.5, 5)}
+    for (name, init), (col_sum, rows, value, stderr) in _SEEDED_PD.items():
+        model = pd_models[name]
+        pop = bethe.population_dynamics(model, pop_size=200, iters=5, init=init, seed=3)
+        est = bethe.bethe_estimate(pop, model, samples=3000, seed=4)
+        assert pop.points[:, 0].sum() == pytest.approx(col_sum, abs=1e-10)
+        assert np.abs(pop.points[:2] - rows).max() <= 1e-10
+        assert est.value == pytest.approx(value, abs=1e-10)
+        assert est.stderr == pytest.approx(stderr, abs=1e-10)
+
+    info = assumptions.check_pos(pd_models["kspin"].family, trials=50).info
+    assert info == {"trials": 50, "evaluations": 100, "worst_margin": 0.0,
+                    "semantics": "no-violation-found"}
+
+    bp_models = {"sbm": models.sbm(2, 3.0, 3),
+                 "ldgm": models.ldgm(0.1, DegreeSpec.constant(3), K23)}
+    for name, (col_sum, rows, free_entropy) in _SEEDED_BP.items():
+        model = bp_models[name]
+        n = 200
+        seq = graphmodel.sample_degree_sequence(n, model.dspec, model.kspec, 1)
+        sigma = graphmodel.uniform_assignment(n, model.q, substream(1, 5))
+        g = graphmodel.sample_planted(seq, sigma, model.family, 0, 1)
+        pins = [(v, int(sigma[v])) for v in range(0, n, 10)]
+        state = exact.bp_run(g.with_pins(pins), max_iters=5, tol=0.0)
+        marg = exact.bp_marginals(state)
+        assert marg[:, 0].sum() == pytest.approx(col_sum, abs=1e-10)
+        assert np.abs(marg[1:3] - rows).max() <= 1e-10
+        assert exact.bethe_instance(state) == pytest.approx(free_entropy, abs=1e-10)
