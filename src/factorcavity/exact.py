@@ -1,7 +1,7 @@
 """Exact desk-scale oracles: enumeration, sampling, and instance BP.
 
-Everything here is brute force on purpose.  Partition functions and
-marginals come from full state enumeration with log-domain accumulation;
+Partition functions, marginals and pair joints come from enumerating every
+state, vectorised in blocks, with log-domain accumulation in one pass;
 ensemble expectations come from enumerating clone pairings; the sum-product
 routine is a cross-check, not a performance path.
 """
@@ -25,7 +25,9 @@ from .rng import substream
 STATE_CAP = 2 ** 24
 SAMPLE_STATE_CAP = 2 ** 22
 PAIRING_TERM_CAP = 10 ** 7
-_CHUNK = 1 << 16
+# entries of one block's one-hot matrix (L q rows, q^L states); the matrix
+# and its weighted copy stay under 8 MB together
+_CHUNK_FLOATS = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -62,35 +64,55 @@ def assignment_log_weight(g: FactorGraph, sigma) -> float:
     return total
 
 
-def _check_state_cap(g: FactorGraph, cap: int):
-    n_states = g.q ** g.n
-    if n_states > cap:
-        raise CapExceeded("state enumeration", n_states, cap)
-    return n_states
+def _state_digits(q: int, n: int, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of the lexicographic assignment table, shape (b, n)."""
+    return (idx[:, None] // q ** np.arange(n - 1, -1, -1, dtype=np.int64)) % q
 
 
-def _state_digits(q: int, n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop of the lexicographic assignment table, shape (b, n)."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((len(idx), n), dtype=np.int64)
-    for v in range(n):
-        digits[:, v] = (idx // q ** (n - 1 - v)) % q
-    return digits
+def _log_weight_blocks(g: FactorGraph, cap: int):
+    """Log weights of all states in lexicographic order, in blocks of the q^L
+    states that share their n - L leading digits.  Flat table indices are
+    linear in the digits; their trailing part is built once per call, per
+    arity as an (m_k, q^L) index.  Pins are unary factors with log tables
+    0 / -inf.  Returns the (L, q^L) trailing digits and a generator of
+    (leading digits, log weights) per block.
+    """
+    n, q = g.n, g.q
+    if q ** n > cap:
+        raise CapExceeded("state enumeration", q ** n, cap)
+    low = max(k for k in range(n + 1) if q ** k * k * q <= _CHUNK_FLOATS)
+    # digit-major (n, q^L); the size-1 leading axes give zero leading digits
+    rows = np.indices((1,) * (n - low) + (q,) * low).reshape(n, -1)
 
+    def flat_index(digits, variables):
+        flat = digits[variables[:, 0]]
+        for slot in range(1, variables.shape[1]):
+            flat = flat * q + digits[variables[:, slot]]
+        return flat
 
-def _chunk_log_weights(g: FactorGraph, digits: np.ndarray) -> np.ndarray:
-    logw = np.zeros(len(digits))
-    q = g.q
-    for j in range(g.m):
-        fv = g.factor_vars[j]
-        k = len(fv)
-        flat = np.zeros(len(digits), dtype=np.int64)
-        for s, v in enumerate(fv):
-            flat = flat * q + digits[:, v]
-        logw += np.log(g.factor_table(j).ravel()[flat])
-    for v, s in g.pins:
-        logw = np.where(digits[:, v] == s, logw, -np.inf)
-    return logw
+    arity = np.array([len(fv) for fv in g.factor_vars], dtype=np.int64)
+    pins = np.array(g.pins, dtype=np.int64).reshape(-1, 2)
+    unary = np.where(np.eye(q, dtype=bool), 0.0, -np.inf).ravel()
+    groups = [(np.array([fv for fv in g.factor_vars if len(fv) == k]),
+               np.array(g.factor_tables, dtype=np.int64)[arity == k],
+               np.log(g.family.compiled.arity[k].flat).ravel()) for k in np.unique(arity).tolist()]
+    # factors on trailing digits only are summed once, the rest in every block
+    base, per_block = np.zeros(q ** low), []
+    for variables, tables, log_tables in groups + [(pins[:, :1], pins[:, 1], unary)]:
+        row_index = tables[:, None] * q ** variables.shape[1] + flat_index(rows, variables)
+        inner = (variables >= n - low).all(axis=1)
+        base += log_tables.take(row_index[inner]).sum(axis=0)
+        if not inner.all():
+            per_block.append((variables[~inner], row_index[~inner], log_tables))
+
+    def blocks():
+        for head in _state_digits(q, n, np.arange(0, q ** n, q ** low)):
+            logw = base.copy()
+            for variables, index, log_tables in per_block:
+                logw += log_tables.take(index + flat_index(head, variables)[:, None]).sum(axis=0)
+            yield head[:n - low], logw
+
+    return rows[n - low:], blocks()
 
 
 def partition_function(g: FactorGraph, *, cap: int = STATE_CAP,
@@ -98,44 +120,40 @@ def partition_function(g: FactorGraph, *, cap: int = STATE_CAP,
     """Exact log Z and marginals by full enumeration.
 
     With ``want_pairs`` also accumulates all pairwise joint marginals and the
-    averaged total-variation correlation scalar.
+    averaged total-variation correlation scalar.  One pass: sums are kept
+    relative to the running maximum log weight, rescaled when it rises, and
+    a block adds w^T X and X^T diag(w) X for its states' one-hot matrix X.
     """
-    n_states = _check_state_cap(g, cap)
     n, q = g.n, g.q
-
-    # pass 1: streaming log-sum-exp
-    running_max = -np.inf
-    running_sum = 0.0
-    for start in range(0, n_states, _CHUNK):
-        digits = _state_digits(q, n, start, min(start + _CHUNK, n_states))
-        logw = _chunk_log_weights(g, digits)
-        m = float(logw.max()) if len(logw) else -np.inf
-        if m > running_max:
-            running_sum *= math.exp(running_max - m) if running_max > -np.inf else 0.0
-            running_max = m
-        if running_max > -np.inf:
-            running_sum += float(np.exp(logw - running_max).sum())
-    if running_max == -np.inf or running_sum <= 0.0:
-        raise ValueError("graph weight vanishes on every assignment (conflicting pins)")
-    log_z = running_max + math.log(running_sum)
-
-    # pass 2: marginals (and pair joints)
-    marg = np.zeros((n, q))
-    joint = np.zeros((n, n, q, q)) if want_pairs else None
-    for start in range(0, n_states, _CHUNK):
-        digits = _state_digits(q, n, start, min(start + _CHUNK, n_states))
-        w = np.exp(_chunk_log_weights(g, digits) - log_z)
-        for v in range(n):
-            np.add.at(marg[v], digits[:, v], w)
+    rows, blocks = _log_weight_blocks(g, cap)
+    xt = np.eye(q).take(rows, axis=1).transpose(1, 0, 2).reshape(-1, rows.shape[1])
+    split = n * q - len(xt)
+    top, z, marg, joint = -np.inf, 0.0, np.zeros(n * q), np.zeros((n * q, n * q))
+    for head, logw in blocks:
+        m = float(logw.max())
+        if m == -np.inf:
+            continue
+        if m > top:
+            scale = math.exp(top - m)
+            z, marg, joint, top = z * scale, marg * scale, joint * scale, m
+        w = np.exp(logw - top)
+        total = float(w.sum())
+        e = np.eye(q).take(head, axis=0).ravel()
+        u = np.concatenate([total * e, xt @ w])
+        z += total
+        marg += u
         if want_pairs:
-            for x in range(n):
-                for y in range(n):
-                    np.add.at(joint[x, y], (digits[:, x], digits[:, y]), w)
+            joint[:split] += np.outer(e, u)
+            joint[split:, :split] += np.outer(u[split:], e)
+            joint[split:, split:] += (xt * w) @ xt.T
+    if z <= 0.0:
+        raise ValueError("graph weight vanishes on every assignment (conflicting pins)")
 
-    tp = None
-    if want_pairs:
-        tp = _two_point_from_joint(joint, marg)
-    return BoltzmannSummary(log_z=log_z, marginals=marg, pair_joint=joint, two_point=tp)
+    marg = (marg / z).reshape(n, q)
+    if not want_pairs:
+        return BoltzmannSummary(top + math.log(z), marg)
+    joint = (joint / z).reshape(n, q, n, q).transpose(0, 2, 1, 3)
+    return BoltzmannSummary(top + math.log(z), marg, joint, _two_point_from_joint(joint, marg))
 
 
 def _two_point_from_joint(joint: np.ndarray, marg: np.ndarray) -> float:
@@ -144,10 +162,7 @@ def _two_point_from_joint(joint: np.ndarray, marg: np.ndarray) -> float:
     n, q = marg.shape
     prod = marg[:, None, :, None] * marg[None, :, None, :]
     dev = np.abs(joint - prod)
-    if q == 2:
-        val = dev[:, :, 0, 0].copy()
-    else:
-        val = dev.reshape(n, n, q * q).max(axis=2)
+    val = dev[:, :, 0, 0].copy() if q == 2 else dev.reshape(n, n, q * q).max(axis=2)
     np.fill_diagonal(val, 0.0)
     return float(val.sum() / n ** 2)
 
@@ -165,22 +180,11 @@ def two_point(g: FactorGraph, *, cap: int = STATE_CAP) -> float:
 def boltzmann_sample(g: FactorGraph, count: int, seed: int,
                      *, cap: int = SAMPLE_STATE_CAP) -> np.ndarray:
     """Exact inverse-CDF samples from the Boltzmann distribution, (count, n)."""
-    n_states = _check_state_cap(g, cap)
-    n, q = g.n, g.q
-    logw = np.concatenate([
-        _chunk_log_weights(g, _state_digits(q, n, s, min(s + _CHUNK, n_states)))
-        for s in range(0, n_states, _CHUNK)
-    ])
-    log_z = float(logsumexp(logw))
-    probs = np.exp(logw - log_z)
-    cdf = np.cumsum(probs)
+    logw = np.concatenate([logw for _, logw in _log_weight_blocks(g, cap)[1]])
+    cdf = np.cumsum(np.exp(logw - logsumexp(logw)))
     cdf[-1] = 1.0
-    rng = substream(seed, 30)
-    picks = np.searchsorted(cdf, rng.random(count), side="right")
-    out = np.empty((count, n), dtype=np.int64)
-    for v in range(n):
-        out[:, v] = (picks // q ** (n - 1 - v)) % q
-    return out
+    picks = np.searchsorted(cdf, substream(seed, 30).random(count), side="right")
+    return _state_digits(g.q, g.n, picks)
 
 
 # ---------------------------------------------------------------------------

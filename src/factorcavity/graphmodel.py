@@ -156,10 +156,6 @@ class DegreeSequence:
     def cavity_count(self) -> int:
         return self.total_var_degree - self.total_factor_degree
 
-    @property
-    def is_balanced(self) -> bool:
-        return self.cavity_count == 0
-
 
 class CompiledArity(NamedTuple):
     """One arity of a weight family in the form the contraction kernel reads."""

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import chi2
 
 from factorcavity import exact, models
@@ -9,6 +11,7 @@ from factorcavity.errors import CapExceeded
 from factorcavity.graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
                                      WeightFamily, pin, sample_degree_sequence,
                                      sample_null)
+from factorcavity.rng import substream
 
 D2 = DegreeSpec.constant(2)
 K2 = DegreeSpec.constant(2)
@@ -65,6 +68,100 @@ def test_state_cap():
     g = _empty_graph(30)
     with pytest.raises(CapExceeded):
         exact.partition_function(g, cap=2 ** 20)
+
+
+def _random_graph(q, n, seed, pins=()):
+    """Random tables at arities 1-3, random factors, one repeating a variable."""
+    rng = np.random.default_rng(seed)
+    fam = WeightFamily(q=q, tables={k: tuple(rng.uniform(0.2, 3.0, (q,) * k) for _ in range(2))
+                                    for k in (1, 2, 3)},
+                       masses={k: np.array([0.5, 0.5]) for k in (1, 2, 3)})
+    factor_vars = [(0, 0, 1)] + [tuple(rng.integers(0, n, size=k))
+                                 for k in rng.integers(1, 4, size=n + 2)]
+    degrees = np.bincount(np.concatenate(factor_vars), minlength=n)
+    return FactorGraph(family=fam, var_degrees=tuple(degrees), factor_vars=tuple(factor_vars),
+                       factor_tables=tuple(rng.integers(0, 2, size=len(factor_vars))),
+                       pins=pins)
+
+
+def _termwise(g):
+    """log Z, marginals and pair joints from one assignment_log_weight per state."""
+    n, q = g.n, g.q
+    states = list(itertools.product(range(q), repeat=n))
+    logw = np.array([exact.assignment_log_weight(g, s) for s in states])
+    log_z = float(logsumexp(logw))
+    marg = np.zeros((n, q))
+    joint = np.zeros((n, n, q, q))
+    for s, p in zip(states, np.exp(logw - log_z)):
+        for x in range(n):
+            marg[x, s[x]] += p
+            for y in range(n):
+                joint[x, y, s[x], s[y]] += p
+    return log_z, marg, joint, np.exp(logw - log_z)
+
+
+@pytest.mark.parametrize("chunk_floats", [1, 40, 1 << 19])
+@pytest.mark.parametrize("q,n,pins", [(2, 7, ()), (2, 6, ((5, 1), (2, 0))),
+                                      (3, 5, ()), (3, 5, ((0, 2), (4, 1)))])
+def test_enumeration_matches_termwise_oracle(monkeypatch, chunk_floats, q, n, pins):
+    # the block budget sets how many states share a block: one per block, a
+    # few, or all of them, so leading, trailing and mixed factors and pins
+    # all occur
+    monkeypatch.setattr(exact, "_CHUNK_FLOATS", chunk_floats)
+    g = _random_graph(q, n, seed=10 * q + n, pins=pins)
+    log_z, marg, joint, probs = _termwise(g)
+    summary = exact.partition_function(g, want_pairs=True)
+    assert summary.log_z == pytest.approx(log_z, abs=1e-12)
+    assert np.abs(summary.marginals - marg).max() <= 1e-12
+    assert np.abs(summary.pair_joint - joint).max() <= 1e-12
+    dev = np.abs(joint - marg[:, None, :, None] * marg[None, :, None, :])
+    cell = dev[:, :, 0, 0] if q == 2 else dev.max(axis=(2, 3))
+    np.fill_diagonal(cell, 0.0)
+    assert exact.two_point(g) == pytest.approx(cell.sum() / n ** 2, abs=1e-12)
+    assert exact.partition_function(g).log_z == pytest.approx(log_z, abs=1e-12)
+    # the sampler reads the same log weights: inverse-CDF picks in
+    # lexicographic state order, from its own substream
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    picks = np.searchsorted(cdf, substream(5, 30).random(2000), side="right")
+    expected = np.array(list(itertools.product(range(q), repeat=n)))[picks]
+    assert (exact.boltzmann_sample(g, 2000, seed=5) == expected).all()
+
+
+def test_pinned_out_leading_blocks():
+    # pinning variable 0 to 1 gives the first half of the state space, the
+    # first two of four blocks, weight zero; the unary factor on variable 1
+    # makes the last block's maximum exceed the third's, so the running
+    # maximum is raised after weight has been accumulated
+    n = 16
+    assert 2 ** 14 * 14 * 2 <= exact._CHUNK_FLOATS < 2 ** 15 * 15 * 2
+    g = _random_graph(2, n, seed=3)
+    fam = WeightFamily(q=2, tables={**g.family.tables, 1: (np.array([1.0, 50.0]),) * 2},
+                       masses=g.family.masses)
+    g = FactorGraph(family=fam, var_degrees=g.var_degrees, factor_vars=g.factor_vars + ((1,),),
+                    factor_tables=g.factor_tables + (0,))
+    pinned = g.with_pins([(0, 1)])
+    # the unpinned graph's log weights restricted to sigma_0 = 1 by hand
+    grids = np.meshgrid(*[np.arange(2)] * n, indexing="ij")
+    logw = np.zeros((2,) * n)
+    for j in range(g.m):
+        logw = logw + np.log(g.factor_table(j)[tuple(grids[v] for v in g.factor_vars[j])])
+    kept = logw[1]
+    log_z = float(logsumexp(kept))
+    probs = np.exp(kept - log_z)
+    marg = np.array([[0.0, 1.0]] + [[probs.take(s, axis=v - 1).sum() for s in (0, 1)]
+                                    for v in range(1, n)])
+    summary = exact.partition_function(pinned)
+    assert summary.log_z == pytest.approx(log_z, abs=1e-12)
+    assert np.abs(summary.marginals - marg).max() <= 1e-12
+    assert summary.log_z < exact.partition_function(g).log_z
+
+
+@pytest.mark.parametrize("variable", [0, 15])
+def test_conflicting_pins_raise(variable):
+    g = _random_graph(2, 16, seed=4).with_pins([(variable, 0), (variable, 1)])
+    with pytest.raises(ValueError):
+        exact.partition_function(g)
 
 
 def test_log_z_additive_over_components():
