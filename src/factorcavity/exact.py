@@ -121,37 +121,43 @@ def partition_function(g: FactorGraph, *, cap: int = STATE_CAP,
 
     With ``want_pairs`` also accumulates all pairwise joint marginals and the
     averaged total-variation correlation scalar.  One pass: sums are kept
-    relative to the running maximum log weight, rescaled when it rises, and
-    a block adds w^T X and X^T diag(w) X for its states' one-hot matrix X.
+    relative to the running maximum log weight, rescaled when it rises.  A
+    state's one-hot vector is a leading part, fixed within a block, and a
+    trailing part X, the same in every block; so a block adds its leading
+    and leading-trailing terms, and the trailing marginals and trailing
+    joint X^T diag(sum_b w_b) X come from the summed weights, once.
     """
     n, q = g.n, g.q
     rows, blocks = _log_weight_blocks(g, cap)
     xt = np.eye(q).take(rows, axis=1).transpose(1, 0, 2).reshape(-1, rows.shape[1])
     split = n * q - len(xt)
-    top, z, marg, joint = -np.inf, 0.0, np.zeros(n * q), np.zeros((n * q, n * q))
+    top, z, tail = -np.inf, 0.0, np.zeros(rows.shape[1])
+    marg, joint = np.zeros(n * q), np.zeros((n * q, n * q))
     for head, logw in blocks:
         m = float(logw.max())
         if m == -np.inf:
             continue
         if m > top:
             scale = math.exp(top - m)
-            z, marg, joint, top = z * scale, marg * scale, joint * scale, m
+            z, tail, marg, joint, top = z * scale, tail * scale, marg * scale, joint * scale, m
         w = np.exp(logw - top)
         total = float(w.sum())
         e = np.eye(q).take(head, axis=0).ravel()
-        u = np.concatenate([total * e, xt @ w])
         z += total
-        marg += u
-        if want_pairs:
+        tail += w
+        marg[:split] += total * e
+        if want_pairs and split:
+            u = np.concatenate([total * e, xt @ w])
             joint[:split] += np.outer(e, u)
             joint[split:, :split] += np.outer(u[split:], e)
-            joint[split:, split:] += (xt * w) @ xt.T
     if z <= 0.0:
         raise ValueError("graph weight vanishes on every assignment (conflicting pins)")
 
+    marg[split:] = xt @ tail
     marg = (marg / z).reshape(n, q)
     if not want_pairs:
         return BoltzmannSummary(top + math.log(z), marg)
+    joint[split:, split:] = (xt * tail) @ xt.T
     joint = (joint / z).reshape(n, q, n, q).transpose(0, 2, 1, 3)
     return BoltzmannSummary(top + math.log(z), marg, joint, _two_point_from_joint(joint, marg))
 
@@ -528,14 +534,10 @@ class BPState:
     converged: bool
 
 
-def _edge_index(g: FactorGraph):
-    """Each clone edge's variable and each variable's edges; edges are
-    numbered factor by factor, slot by slot."""
-    edge_var = [v for fv in g.factor_vars for v in fv]
-    edges_of_var = [[] for _ in range(g.n)]
-    for e, v in enumerate(edge_var):
-        edges_of_var[v].append(e)
-    return np.asarray(edge_var, dtype=np.int64), edges_of_var
+def _edge_vars(g: FactorGraph) -> np.ndarray:
+    """Each clone edge's variable; edges are numbered factor by factor, slot
+    by slot."""
+    return np.array([v for fv in g.factor_vars for v in fv], dtype=np.int64)
 
 
 def _factor_slots(g: FactorGraph):
@@ -571,6 +573,12 @@ def bp_run(g: FactorGraph, max_iters: int = 1000, damping: float = 0.5,
     variable side.  Non-convergence is reported on the returned state, not
     raised.
 
+    The factor side is one call of the family's contraction kernel.  Its
+    messages are strictly positive (tables are), so the variable side is a
+    log-domain leave-one-out: a variable's log pin field plus the sum of its
+    incoming log messages (one ``np.bincount`` per spin), minus the edge's
+    own message.  ``ValueError`` if a normaliser vanishes.
+
     Messages start uniform, and uniform messages are a fixed point on any
     unpinned graph of a spin-symmetric family: such a run reports
     ``converged`` after one sweep with every marginal uniform, whatever the
@@ -578,10 +586,10 @@ def bp_run(g: FactorGraph, max_iters: int = 1000, damping: float = 0.5,
     """
     if not 0 <= damping < 1:
         raise ValueError("damping must be in [0, 1)")
-    edge_var, edges_of_var = _edge_index(g)
+    edge_var = _edge_vars(g)
     n_edges = len(edge_var)
     q = g.q
-    fields = _pin_fields(g)
+    log_fields = np.where(_pin_fields(g) > 0, 0.0, -np.inf)[edge_var]
     ks, tables, slots = _factor_slots(g)
     # edge e sits on slot open_slot[e] of factor factor_of[e]; the factor's
     # other slots feed its message, in slot order
@@ -601,26 +609,15 @@ def bp_run(g: FactorGraph, max_iters: int = 1000, damping: float = 0.5,
         new_f2v = np.clip(new_f2v, 0.0, None)
         new_f2v /= new_f2v.sum(axis=1, keepdims=True)
 
-        # variable -> factor, leave-one-out products with the pin field
-        new_v2f = np.empty_like(v2f)
-        for v in range(g.n):
-            ids = edges_of_var[v]
-            if not ids:
-                continue
-            msgs = [new_f2v[e] for e in ids]
-            prefix = [fields[v]]
-            for msg in msgs:
-                prefix.append(prefix[-1] * msg)
-            suffix = [np.ones(q)]
-            for msg in reversed(msgs):
-                suffix.append(suffix[-1] * msg)
-            suffix.reverse()
-            for i, e in enumerate(ids):
-                out = prefix[i] * suffix[i + 1]
-                total = out.sum()
-                if total <= 0:
-                    raise ValueError("message normaliser vanished")
-                new_v2f[e] = out / total
+        log_f2v = np.log(new_f2v)
+        incoming = np.stack([np.bincount(edge_var, weights=log_f2v[:, s], minlength=g.n)
+                             for s in range(q)], axis=1)
+        new_v2f = log_fields + incoming[edge_var] - log_f2v
+        top = new_v2f.max(axis=1, keepdims=True)
+        if not np.isfinite(top).all():
+            raise ValueError("message normaliser vanished")
+        new_v2f = np.exp(new_v2f - top)
+        new_v2f /= new_v2f.sum(axis=1, keepdims=True)
 
         f2v_next = damping * f2v + (1 - damping) * new_f2v
         v2f_next = damping * v2f + (1 - damping) * new_v2f
@@ -638,7 +635,7 @@ def _beliefs(state: BPState) -> np.ndarray:
     """Unnormalised beliefs: each pin field times the variable's incoming messages."""
     g = state.graph
     beliefs = _pin_fields(g)
-    np.multiply.at(beliefs, _edge_index(g)[0], state.fac_to_var)
+    np.multiply.at(beliefs, _edge_vars(g), state.fac_to_var)
     return beliefs
 
 

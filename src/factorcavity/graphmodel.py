@@ -163,6 +163,9 @@ class CompiledArity(NamedTuple):
     flat: np.ndarray                 # (tables, q**k), row-major spin order
     masses: np.ndarray               # choice probability per table
     parity: Optional[np.ndarray]     # c per table with table == 1 + c * parity
+    tuple_law: np.ndarray            # (q**k,) law of a planted factor's spin tuple
+    colours: np.ndarray              # (q**k, q) spin counts of each tuple
+    table_cdf: np.ndarray            # (q**k, tables) CDF of P(psi) psi(tuple)
 
 
 class CompiledFamily(NamedTuple):
@@ -274,12 +277,19 @@ class WeightFamily:
 
     @cached_property
     def compiled(self) -> CompiledFamily:
-        """Flattened tables, masses, parity coefficients and xi, built once."""
+        """Flattened tables, masses, parity coefficients, the planted
+        sampler's tuple and table laws, and xi, built once."""
         arity = {}
         for k, tabs in self.tables.items():
             flat = np.stack([t.ravel() for t in tabs])
+            joint = self.masses[k][:, None] * flat
+            cdf = np.cumsum(joint, axis=0) / joint.sum(axis=0)
+            cdf[-1] = 1.0
+            digits = np.indices((self.q,) * k).reshape(k, self.q ** k)
+            colours = (digits[:, :, None] == np.arange(self.q)).sum(axis=0)
             arity[k] = CompiledArity(flat, self.masses[k],
-                                     _parity_coefficients(self.q, k, flat))
+                                     _parity_coefficients(self.q, k, flat),
+                                     joint.sum(axis=0) / joint.sum(), colours, cdf.T)
         values = np.concatenate([v.ravel() for v in self.marginal_sums().values()])
         return CompiledFamily(arity, float(values.mean()),
                               float(values.max() - values.min()))
@@ -572,28 +582,24 @@ def _clone_owners(var_degrees: Sequence[int]) -> np.ndarray:
     return np.repeat(np.arange(len(var_degrees)), np.asarray(var_degrees, dtype=np.int64))
 
 
+def _slot_tuples(seq: DegreeSequence, clones: np.ndarray):
+    """Per-factor variable tuples and clone-index tuples of the clones placed
+    on the slots, which are listed factor by factor."""
+    d = np.asarray(seq.var_degrees, dtype=np.int64)
+    index = np.arange(seq.total_var_degree) - np.repeat(np.cumsum(d) - d, d)
+    ends = np.cumsum(seq.factor_arities, dtype=np.int64).tolist()
+
+    def split(values):
+        values = values.tolist()
+        return tuple(tuple(values[e - k:e]) for e, k in zip(ends, seq.factor_arities))
+
+    return split(_clone_owners(d)[clones]), split(index[clones])
+
+
 def _pair_topology(seq: DegreeSequence, rng: np.random.Generator):
     """Uniform maximal matching of variable clones onto factor slots."""
-    owners = _clone_owners(seq.var_degrees)
     order = rng.permutation(seq.total_var_degree)
-    total_slots = seq.total_factor_degree
-    chosen = order[:total_slots]
-    factor_vars = []
-    slot_clones = []
-    pos = 0
-    clone_index = _clone_index_within_owner(seq.var_degrees)
-    for k in seq.factor_arities:
-        sel = chosen[pos:pos + k]
-        factor_vars.append(tuple(int(owners[c]) for c in sel))
-        slot_clones.append(tuple(int(clone_index[c]) for c in sel))
-        pos += k
-    return tuple(factor_vars), tuple(slot_clones)
-
-
-def _clone_index_within_owner(var_degrees: Sequence[int]) -> np.ndarray:
-    out = np.concatenate([np.arange(d, dtype=np.int64) for d in var_degrees]) \
-        if len(var_degrees) else np.zeros(0, dtype=np.int64)
-    return out
+    return _slot_tuples(seq, order[:seq.total_factor_degree])
 
 
 def pair_uniform(seq: DegreeSequence, seed: int, *, q: int = 2,
@@ -638,147 +644,145 @@ def sample_null(n: int, dspec: DegreeSpec, kspec: DegreeSpec, family: WeightFami
 # ---------------------------------------------------------------------------
 
 
-def _flat_tuple_law(family: WeightFamily, k: int) -> np.ndarray:
-    """Normalised law over spin tuples proportional to the mean table."""
-    t = family.mean_table(k).ravel()
-    return t / t.sum()
+class _CellGroup(NamedTuple):
+    """Positions coloured iid over the same cells: one arity's factors, or
+    the cavity pebbles."""
+
+    index: np.ndarray                # flat tuple index, or a pebble's colour
+    colours: np.ndarray              # (cells, q) spin counts per cell
+    log_law: np.ndarray              # untilted log probability per cell
+    rows: np.ndarray                 # positions: factors, then pebbles
 
 
-def _tuple_color_counts(q: int, k: int) -> np.ndarray:
-    """(q^k, q) spin counts for every flat tuple index."""
-    grids = np.stack(np.meshgrid(*[np.arange(q)] * k, indexing="ij"), axis=-1).reshape(-1, k)
-    counts = np.zeros((q ** k, q), dtype=np.int64)
-    for w in range(q):
-        counts[:, w] = (grids == w).sum(axis=1)
-    return counts
+def _colouring_groups(seq: DegreeSequence, target: np.ndarray,
+                      family: WeightFamily) -> list:
+    """One cell group per arity, plus one for the pebbles.  Cells using a
+    colour that ``target`` lacks can never be accepted, so they are dropped."""
+    dead = target == 0
+    arities = np.asarray(seq.factor_arities, dtype=np.int64)
+    groups = []
+    for k in sorted(set(seq.factor_arities)):
+        form = family.compiled.arity[k]
+        keep = np.flatnonzero(form.colours[:, dead].sum(axis=1) == 0)
+        groups.append(_CellGroup(keep, form.colours[keep], np.log(form.tuple_law[keep]),
+                                 np.flatnonzero(arities == k)))
+    if seq.cavity_count:
+        live = np.flatnonzero(~dead)
+        groups.append(_CellGroup(live, np.eye(family.q, dtype=np.int64)[live],
+                                 np.zeros(len(live)), seq.m + np.arange(seq.cavity_count)))
+    return groups
+
+
+def _tilted_laws(groups: list, target: np.ndarray) -> list:
+    """Cell laws tilted by exp(<lam, colours>), with lam centring the mean
+    colour histogram of one draw on ``target``.
+
+    lam minimises the convex F(lam) = sum_g |g| log Z_g(lam) - <lam, target>,
+    Z_g(lam) = sum_c p_g(c) exp(<lam, colours(c)>) over the cells of group g,
+    whose gradient is the tilted mean histogram minus the target; damped
+    Newton from lam = 0.  F does not change when a constant is added to lam,
+    so lam is held at zero on the last colour the target holds, and on the
+    colours it lacks, which no cell uses.  The tilt multiplies the weight of
+    a whole draw by exp(<lam, histogram>), a constant on the acceptance
+    event, so any lam leaves the accepted law unchanged; lam sets only the
+    acceptance rate.
+    """
+    q = len(target)
+    free = np.flatnonzero(target)[:-1]
+    lengths = [len(g.index) for g in groups]
+    starts = np.cumsum([0] + lengths[:-1], dtype=np.int64)[:len(groups)]
+    group = np.repeat(np.arange(len(groups)), lengths)
+    sizes = np.array([len(g.rows) for g in groups], dtype=float)
+    colours = np.concatenate([g.colours for g in groups] + [np.zeros((0, q), np.int64)])
+    log_law = np.concatenate([g.log_law for g in groups] + [np.zeros(0)])
+
+    def evaluate(lam):
+        logits = log_law + colours @ lam
+        top = np.maximum.reduceat(logits, starts)
+        law = np.exp(logits - top[group])
+        norm = np.add.reduceat(law, starts)
+        law /= norm[group]
+        mean = np.add.reduceat(law[:, None] * colours, starts)
+        value = sizes @ (top + np.log(norm)) - lam @ target
+        grad = sizes @ mean - target
+        hess = (colours.T * (law * sizes[group])) @ colours - (mean.T * sizes) @ mean
+        return value, grad[free], hess[np.ix_(free, free)], law
+
+    lam = np.zeros(q)
+    value, grad, hess, law = evaluate(lam)
+    for _ in range(100):
+        # the histogram is integral: a mean within 0.01 of it is centred
+        if not len(free) or np.abs(grad).max() <= 0.01:
+            break
+        step = np.linalg.solve(hess, grad)
+        t = 1.0
+        while t > 1e-10:
+            trial = lam.copy()
+            trial[free] -= t * step
+            result = evaluate(trial)
+            if result[0] <= value - 0.25 * t * float(grad @ step):
+                break
+            t /= 2
+        else:
+            break
+        lam = trial
+        value, grad, hess, law = result
+    return np.split(law, starts[1:])
 
 
 def _conditioned_colouring(seq: DegreeSequence, sigma: np.ndarray,
                            family: WeightFamily, rng: np.random.Generator,
-                           *, max_attempts: Optional[int] = None,
-                           mcmc_fallback: bool = True, block: int = 8):
-    """Histogram-conditioned factor-side clone colouring.
+                           *, max_attempts: Optional[int] = None):
+    """Histogram-conditioned factor-side clone colouring, drawn exactly.
 
-    Per-factor tuples follow the mean-table law, cavity clones are uniform;
-    the joint draw is conditioned on its colour histogram matching the
-    variable-clone histogram of sigma.  Rejection with a capped number of
-    attempts, then an optional colour-swap Metropolis fallback.
+    Per-factor tuples follow the mean-table law and cavity pebbles are
+    uniform; the joint draw is conditioned on its colour histogram matching
+    the variable-clone histogram of sigma.  Acceptance depends only on the
+    histogram, and the tuples of one arity are iid, so an attempt draws each
+    arity's tuple-type counts (and the pebble counts) as one multinomial, and
+    an accepted multiset is shuffled over its factors: by exchangeability
+    that is the law of conditioned per-factor draws.  The cell laws are
+    exponentially tilted onto the target (``_tilted_laws``), which leaves
+    the accepted law unchanged.  Returns (flat tuple per factor, pebble
+    colours, attempts); raises ``AttemptsExhausted`` after ``max_attempts``
+    attempts.
     """
-    q = family.q
     d = np.asarray(seq.var_degrees)
-    target = np.bincount(sigma, weights=d, minlength=q).astype(np.int64)
-    delta = seq.cavity_count
-    total = seq.total_var_degree
+    target = np.bincount(sigma, weights=d, minlength=family.q).astype(np.int64)
     if max_attempts is None:
-        max_attempts = int(10_000 * math.sqrt(max(total, 1)))
+        max_attempts = int(10_000 * math.sqrt(max(seq.total_var_degree, 1)))
+    groups = _colouring_groups(seq, target, family)
+    laws = _tilted_laws(groups, target)
 
-    arities = sorted(set(seq.factor_arities))
-    laws = {k: _flat_tuple_law(family, k) for k in arities}
-    counts = {k: _tuple_color_counts(q, k) for k in arities}
-    by_arity = {k: np.flatnonzero(np.asarray(seq.factor_arities) == k) for k in arities}
-
-    attempts = 0
+    attempts, block = 0, 8
     while attempts < max_attempts:
         b = min(block, max_attempts - attempts)
         block = min(block * 2, 1024)
         attempts += b
-        hist = np.zeros((b, q), dtype=np.int64)
-        draws = {}
-        for k in arities:
-            mk = len(by_arity[k])
-            if mk == 0:
-                continue
-            idx = rng.choice(q ** k, size=(b, mk), p=laws[k])
-            draws[k] = idx
-            hist += counts[k][idx].sum(axis=1)
-        if delta:
-            pebbles = rng.integers(0, q, size=(b, delta))
-            for w in range(q):
-                hist[:, w] += (pebbles == w).sum(axis=1)
-        else:
-            pebbles = np.zeros((b, 0), dtype=np.int64)
+        counts = [rng.multinomial(len(g.rows), law, size=b) for g, law in zip(groups, laws)]
+        hist = sum((c @ g.colours for g, c in zip(groups, counts)),
+                   np.zeros((b, family.q), dtype=np.int64))
         ok = np.flatnonzero((hist == target).all(axis=1))
         if len(ok):
-            row = int(ok[0])
-            tuples = np.empty(seq.m, dtype=np.int64)
-            for k in arities:
-                if len(by_arity[k]):
-                    tuples[by_arity[k]] = draws[k][row]
-            return tuples, pebbles[row].copy(), attempts, False
-
-    if not mcmc_fallback:
-        raise AttemptsExhausted("histogram-conditioned colouring", max_attempts)
-    tuples, pebbles = _conditioned_colouring_mcmc(seq, target, family, rng)
-    return tuples, pebbles, attempts, True
-
-
-def _conditioned_colouring_mcmc(seq: DegreeSequence, target: np.ndarray,
-                                family: WeightFamily, rng: np.random.Generator):
-    """Colour-swap Metropolis chain on the fixed-histogram slice.
-
-    State: colours on all real slots plus cavity clones.  Moves swap the
-    colours of two positions; the acceptance ratio multiplies the mean-table
-    ratios of the touched factors (cavity positions contribute 1).  Burn-in
-    is 50x the total degree.
-    """
-    q = family.q
-    total = seq.total_var_degree
-    arities = np.asarray(seq.factor_arities)
-    owner = np.repeat(np.arange(seq.m), arities)          # factor per real slot
-    starts = np.concatenate([[0], np.cumsum(arities)])
-    n_slots = int(arities.sum())
-
-    colors = np.repeat(np.arange(q), target)
-    rng.shuffle(colors)
-    state = colors.copy()                                  # slots then pebbles
-
-    mean_flat = {k: family.mean_table(k).ravel() for k in sorted(set(seq.factor_arities))}
-    pows = {k: q ** np.arange(k - 1, -1, -1) for k in sorted(set(seq.factor_arities))}
-
-    def factor_weight(j):
-        k = arities[j]
-        tup = state[starts[j]:starts[j] + k]
-        return mean_flat[k][int(np.dot(tup, pows[k]))]
-
-    steps = 50 * max(total, 1)
-    for _ in range(steps):
-        i, j = rng.integers(0, total, size=2)
-        if state[i] == state[j]:
-            continue
-        fi = owner[i] if i < n_slots else -1
-        fj = owner[j] if j < n_slots else -1
-        before = 1.0
-        if fi >= 0:
-            before *= factor_weight(fi)
-        if fj >= 0 and fj != fi:
-            before *= factor_weight(fj)
-        state[i], state[j] = state[j], state[i]
-        after = 1.0
-        if fi >= 0:
-            after *= factor_weight(fi)
-        if fj >= 0 and fj != fi:
-            after *= factor_weight(fj)
-        if rng.random() >= min(1.0, after / before):
-            state[i], state[j] = state[j], state[i]       # reject
-
-    tuples = np.empty(seq.m, dtype=np.int64)
-    for j in range(seq.m):
-        k = arities[j]
-        tup = state[starts[j]:starts[j] + k]
-        tuples[j] = int(np.dot(tup, pows[k]))
-    return tuples, state[n_slots:].copy()
+            picks = np.empty(seq.m + seq.cavity_count, dtype=np.int64)
+            for g, c in zip(groups, counts):
+                picks[g.rows] = rng.permutation(np.repeat(g.index, c[ok[0]]))
+            return picks[:seq.m], picks[seq.m:], attempts
+    raise AttemptsExhausted("histogram-conditioned colouring", max_attempts)
 
 
 def _tilted_weight_choice(seq: DegreeSequence, tuples: np.ndarray,
                           family: WeightFamily,
                           rng: np.random.Generator) -> np.ndarray:
-    """Weight choice per factor with mass proportional to P(psi) psi(colors)."""
+    """Weight choice per factor with mass proportional to P(psi) psi(colors),
+    by inverse CDF with one uniform per factor."""
+    arities = np.asarray(seq.factor_arities, dtype=np.int64)
+    u = rng.random(seq.m)
     out = np.empty(seq.m, dtype=np.int64)
-    for j, k in enumerate(seq.factor_arities):
-        vals = np.array([t.ravel()[tuples[j]] for t in family.tables[k]])
-        p = family.masses[k] * vals
-        p = p / p.sum()
-        out[j] = rng.choice(len(p), p=p)
+    for k in sorted(set(seq.factor_arities)):
+        rows = np.flatnonzero(arities == k)
+        cdf = family.compiled.arity[k].table_cdf[tuples[rows]]
+        out[rows] = (u[rows, None] >= cdf).sum(axis=1)
     return out
 
 
@@ -787,20 +791,13 @@ def _colour_consistent_pairing(seq: DegreeSequence, sigma: np.ndarray,
                                family: WeightFamily, rng: np.random.Generator):
     """Uniform colour-consistent bijection of variable clones onto positions."""
     q = family.q
-    d = np.asarray(seq.var_degrees)
-    owners = _clone_owners(seq.var_degrees)
-    clone_idx = _clone_index_within_owner(seq.var_degrees)
-    clone_colors = sigma[owners]
-
-    arities = np.asarray(seq.factor_arities)
-    slot_colors = np.empty(int(arities.sum()), dtype=np.int64)
-    pos = 0
-    for j, k in enumerate(arities):
-        digits = np.unravel_index(int(tuples[j]), (q,) * int(k))
-        slot_colors[pos:pos + k] = digits
-        pos += k
-    position_colors = np.concatenate([slot_colors, pebbles])
-    n_slots = len(slot_colors)
+    arities = np.asarray(seq.factor_arities, dtype=np.int64)
+    factor = np.repeat(np.arange(seq.m), arities)
+    # slot s of an arity-k factor holds digit s of its tuple, most significant first
+    slot = np.arange(len(factor)) - np.repeat(np.cumsum(arities) - arities, arities)
+    power = q ** (arities[factor] - 1 - slot)
+    position_colors = np.concatenate([tuples[factor] // power % q, pebbles])
+    clone_colors = sigma[_clone_owners(seq.var_degrees)]
 
     assignment = np.full(len(position_colors), -1, dtype=np.int64)
     for w in range(q):
@@ -808,30 +805,23 @@ def _colour_consistent_pairing(seq: DegreeSequence, sigma: np.ndarray,
         positions_w = np.flatnonzero(position_colors == w)
         if len(clones_w) != len(positions_w):
             raise ValueError("colour histograms do not match")
-        perm = rng.permutation(len(clones_w))
-        assignment[positions_w] = clones_w[perm]
-
-    factor_vars = []
-    slot_clones = []
-    pos = 0
-    for k in arities:
-        sel = assignment[pos:pos + k]
-        factor_vars.append(tuple(int(owners[c]) for c in sel))
-        slot_clones.append(tuple(int(clone_idx[c]) for c in sel))
-        pos += k
-    return tuple(factor_vars), tuple(slot_clones)
+        assignment[positions_w] = clones_w[rng.permutation(len(clones_w))]
+    return _slot_tuples(seq, assignment[:len(factor)])
 
 
 def sample_planted(seq: DegreeSequence, sigma: np.ndarray, family: WeightFamily,
-                   theta: int, seed: int, *, max_attempts: Optional[int] = None,
-                   mcmc_fallback: bool = True) -> FactorGraph:
+                   theta: int, seed: int, *, max_attempts: Optional[int] = None) -> FactorGraph:
     """Teacher-student graph around the ground truth ``sigma``.
 
-    Three stages: a histogram-conditioned factor-side clone colouring, a
-    weight choice tilted by the colouring, and a uniform colour-consistent
-    pairing.  The first ``theta`` variables receive hard pins at their
-    ground-truth spins; the output is distributed as the null model
-    reweighted by the ground truth's weight.
+    Three stages: a histogram-conditioned factor-side clone colouring, drawn
+    exactly by tilted rejection on per-arity colour counts
+    (``_conditioned_colouring``), a weight choice tilted by the colouring,
+    and a uniform colour-consistent pairing.  The first ``theta`` variables
+    receive hard pins at their ground-truth spins; the output is distributed
+    as the null model reweighted by the ground truth's weight.  Raises
+    ``AttemptsExhausted`` if the colouring is not accepted within
+    ``max_attempts`` attempts; there is no approximate fallback, so
+    ``meta["colouring_mcmc"]`` is always False.
     """
     sigma = validate_assignment(sigma, seq.n, family.q)
     if not family.supports(set(seq.factor_arities)):
@@ -839,19 +829,18 @@ def sample_planted(seq: DegreeSequence, sigma: np.ndarray, family: WeightFamily,
     if not 0 <= theta <= seq.n:
         raise ValueError("theta must be between 0 and n")
 
-    tuples, pebbles, attempts, used_mcmc = _conditioned_colouring(
-        seq, sigma, family, substream(seed, 10),
-        max_attempts=max_attempts, mcmc_fallback=mcmc_fallback)
+    tuples, pebbles, attempts = _conditioned_colouring(
+        seq, sigma, family, substream(seed, 10), max_attempts=max_attempts)
     table_ids = _tilted_weight_choice(seq, tuples, family, substream(seed, 11))
     factor_vars, slot_clones = _colour_consistent_pairing(seq, sigma, tuples, pebbles, family,
-                                       substream(seed, 12))
+                                                          substream(seed, 12))
     pins = tuple((i, int(sigma[i])) for i in range(theta))
     return FactorGraph(family=family, var_degrees=seq.var_degrees,
-                       factor_vars=factor_vars, factor_tables=tuple(int(t) for t in table_ids),
+                       factor_vars=factor_vars, factor_tables=tuple(table_ids.tolist()),
                        slot_clones=slot_clones, pins=pins,
                        meta={"construction": "planted",
                              "colouring_attempts": attempts,
-                             "colouring_mcmc": used_mcmc})
+                             "colouring_mcmc": False})
 
 
 def sample_nishimori(n: int, dspec: DegreeSpec, kspec: DegreeSpec, family: WeightFamily,

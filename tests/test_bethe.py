@@ -327,15 +327,17 @@ _SEEDED_PD = {
 
 # model -> (sum of the first spin column of the BP marginals, marginals of
 # variables 1 and 2, instance Bethe free entropy) after 5 sweeps on an
-# n=200 planted graph with every tenth variable pinned, seed 1
+# n=200 planted graph with every tenth variable pinned, seed 1; recorded
+# with the histogram-level planted colouring and the per-variable
+# prefix/suffix BP loop
 _SEEDED_BP = {
-    "sbm": (99.69006163101224,
-            [[0.3039804389498637, 0.6960195610501363],
-             [0.7818582641112408, 0.2181417358887592]],
-            -56.43018432270605),
-    "ldgm": (99.2975276704339,
-             [[0.78671875, 0.21328124999999998], [0.5, 0.5]],
-             124.34296082071099),
+    "sbm": (100.02980675914398,
+            [[0.9004991286358011, 0.09950087136419897],
+             [0.3565277932818821, 0.6434722067181178]],
+            -60.78241409496678),
+    "ldgm": (98.50261554037628,
+             [[0.78671875, 0.21328125], [0.825, 0.175]],
+             125.77067751460811),
 }
 
 

@@ -10,7 +10,7 @@ from factorcavity import exact, models
 from factorcavity.errors import CapExceeded
 from factorcavity.graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
                                      WeightFamily, pin, sample_degree_sequence,
-                                     sample_null)
+                                     sample_null, sample_planted)
 from factorcavity.rng import substream
 
 D2 = DegreeSpec.constant(2)
@@ -400,3 +400,69 @@ def test_bp_reports_non_convergence():
     assert not state.converged
     assert state.iterations == 3
     assert state.max_change > 1e-15
+
+
+def _loop_bp(g, sweeps, damping):
+    """Reference sweeps: the factor side through the contraction kernel, the
+    variable side as per-variable prefix/suffix products in the linear domain."""
+    q = g.q
+    edge_var = exact._edge_vars(g)
+    fields = exact._pin_fields(g)
+    ks, tables, slots = exact._factor_slots(g)
+    factor_of = np.repeat(np.arange(g.m), ks)
+    open_slot = np.arange(len(edge_var)) - np.repeat(np.cumsum(ks) - ks, ks)
+    pos = np.arange(slots.shape[1] - 1)
+    others = slots[factor_of[:, None], pos + (pos >= open_slot[:, None])]
+    v2f = np.full((len(edge_var), q), 1.0 / q)
+    f2v = v2f.copy()
+    for _ in range(sweeps):
+        new_f2v = g.family.contract(ks[factor_of], tables[factor_of], v2f[others], open_slot)
+        new_f2v = np.clip(new_f2v, 0.0, None)
+        new_f2v /= new_f2v.sum(axis=1, keepdims=True)
+        new_v2f = np.empty_like(v2f)
+        for v in range(g.n):
+            ids = np.flatnonzero(edge_var == v)
+            msgs = [new_f2v[e] for e in ids]
+            prefix = [fields[v]]
+            for msg in msgs:
+                prefix.append(prefix[-1] * msg)
+            suffix = [np.ones(q)]
+            for msg in reversed(msgs):
+                suffix.append(suffix[-1] * msg)
+            suffix.reverse()
+            for i, e in enumerate(ids):
+                out = prefix[i] * suffix[i + 1]
+                new_v2f[e] = out / out.sum()
+        f2v = damping * f2v + (1 - damping) * new_f2v
+        v2f = damping * v2f + (1 - damping) * new_v2f
+    return v2f, f2v
+
+
+def _planted_bp_graph(model, n, seed):
+    seq = sample_degree_sequence(n, model.dspec, model.kspec, seed)
+    sigma = substream(seed, 5).integers(0, model.q, size=n)
+    g = sample_planted(seq, sigma, model.family, 0, seed)
+    return g.with_pins((v, int(sigma[v])) for v in range(0, n, 7))
+
+
+@pytest.mark.parametrize("graph", [
+    # pinned planted graphs, mixed arities {2, 3} and a q=2 block model
+    lambda: _planted_bp_graph(models.ldgm(0.1, DegreeSpec.constant(3),
+                                          DegreeSpec.from_mapping({2: 0.5, 3: 0.5})), 60, 2),
+    lambda: _planted_bp_graph(models.sbm(2, 3.0, 3), 60, 3),
+    # q=3, arities 1-3, a factor repeating a variable, pins
+    lambda: _random_graph(3, 6, 4, pins=((1, 2), (4, 0))),
+    # parallel edges between the same two variables
+    lambda: FactorGraph(family=models.sbm(3, 1.0, 3).family, var_degrees=(3, 3, 2),
+                        factor_vars=((0, 1), (0, 1), (1, 2), (2, 0)),
+                        factor_tables=(0,) * 4, pins=((2, 1),)),
+    # no factors, one pin
+    lambda: _empty_graph(4).with_pins([(2, 1)]),
+])
+def test_bp_matches_loop_oracle(graph):
+    g = graph()
+    v2f, f2v = _loop_bp(g, 7, 0.3)
+    state = exact.bp_run(g, max_iters=7, damping=0.3, tol=0.0)
+    assert state.iterations == 7
+    assert np.abs(state.var_to_fac - v2f).max(initial=0.0) <= 1e-12
+    assert np.abs(state.fac_to_var - f2v).max(initial=0.0) <= 1e-12

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import poisson
+from scipy.stats import chi2, poisson
 
 from factorcavity import exact, models
 from factorcavity.errors import AttemptsExhausted, ZeroMean
@@ -14,7 +14,8 @@ from factorcavity.graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
                                      WeightFamily, pair_uniform, pin,
                                      sample_degree_sequence, sample_nishimori,
                                      sample_null, sample_planted,
-                                     sample_pruned_sequence)
+                                     sample_pruned_sequence, uniform_assignment)
+from factorcavity.rng import substream
 
 D2 = DegreeSpec.constant(2)
 K2 = DegreeSpec.constant(2)
@@ -290,7 +291,7 @@ def test_planted_colour_balance():
     ones = 0
     slots = 0
     for _ in range(draws):
-        tuples, pebbles, _, _ = _conditioned_colouring(seq, sigma, model.family, rng)
+        tuples, pebbles, _ = _conditioned_colouring(seq, sigma, model.family, rng)
         for j, k in enumerate(seq.factor_arities):
             digits = np.unravel_index(int(tuples[j]), (2,) * int(k))
             ones += int(np.sum(digits))
@@ -309,33 +310,106 @@ def test_planted_degenerate_alphabet():
     assert g.pins == ((0, 0), (1, 0))
 
 
-def test_planted_mcmc_fallback_matches_law():
-    # force the fallback with a tiny rejection cap; the chain must still
-    # target the conditional colouring law
-    seq = DegreeSequence((2, 2, 2), (2, 2))
-    sigma = np.array([0, 0, 1])
-    fam = models.ldgm(0.3, D2, K2).family
-    ref = exact.planted_law_reweighting(seq, sigma, fam)
+@pytest.mark.parametrize("seq,sigma,family", [
+    # q=2, arities 1 and 2, two cavities
+    (DegreeSequence((2, 2, 1), (2, 1)), (0, 1, 1),
+     models.ldgm(0.3, D2, DegreeSpec.from_mapping({1: 0.5, 2: 0.5})).family),
+    # q=3, colour histogram (2, 1, 2), one cavity
+    (DegreeSequence((2, 2, 1), (2, 2)), (0, 2, 1), models.sbm(3, 1.5, 3).family),
+])
+def test_planted_sampler_matches_law(seq, sigma, family):
+    ref = exact.planted_law_reweighting(seq, np.array(sigma), family)
     counts = collections.Counter()
-    draws = 4000
+    draws = 10_000
     for seed in range(draws):
-        g = sample_planted(seq, sigma, fam, 0, seed, max_attempts=0)
-        assert g.meta["colouring_mcmc"]
+        g = sample_planted(seq, np.array(sigma), family, 0, seed)
+        assert not g.meta["colouring_mcmc"]
         counts[(g.factor_vars, g.factor_tables)] += 1
-    worst = 0.0
-    for key, p in ref.items():
-        emp = counts.get(key, 0) / draws
-        se = math.sqrt(p * (1 - p) / draws)
-        worst = max(worst, abs(emp - p) / se)
+    assert set(counts) <= set(ref)
+    stat = sum((counts.get(key, 0) - draws * p) ** 2 / (draws * p) for key, p in ref.items())
+    assert chi2.sf(stat, len(ref) - 1) >= 0.001
+    worst = max(abs(counts.get(key, 0) / draws - p) / math.sqrt(p * (1 - p) / draws)
+                for key, p in ref.items())
     assert worst <= 5.0
+
+
+def test_tilt_leaves_accepted_count_law_unchanged():
+    # every count vector of a draw that hits the target has the same
+    # renormalised probability under the tilted and the untilted cell laws
+    from factorcavity.graphmodel import _colouring_groups, _tilted_laws
+
+    q = 3
+    rng = np.random.default_rng(5)
+    fam = WeightFamily(q=q, tables={k: tuple(rng.uniform(0.2, 3.0, (q,) * k) for _ in range(2))
+                                    for k in (1, 2)},
+                       masses={k: np.array([0.4, 0.6]) for k in (1, 2)})
+    seq = DegreeSequence((3, 2, 1, 2), (2, 2, 1))
+    # the second ground truth leaves colour 2 without clones
+    for sigma in ((0, 0, 1, 2), (0, 0, 1, 1)):
+        target = np.bincount(sigma, weights=seq.var_degrees, minlength=q).astype(np.int64)
+        groups = _colouring_groups(seq, target, fam)
+        laws = _tilted_laws(groups, target)
+        spaces = []
+        for group, law in zip(groups, laws):
+            k = seq.factor_arities[group.rows[0]] if group.rows[0] < seq.m else 1
+            plain = (fam.mean_table(k).ravel() / fam.table_total(k) if group.rows[0] < seq.m
+                     else np.full(q, 1.0 / q))
+            tilted = np.zeros(q ** k)
+            tilted[group.index] = law
+            colours = np.array([np.bincount(t, minlength=q) for t in np.ndindex(*(q,) * k)])
+            spaces.append((len(group.rows), plain, tilted, colours))
+        mean = sum(size * tilted @ colours for size, _, tilted, colours in spaces)
+        assert np.abs(mean - target).max() <= 0.01
+        assert max(np.abs(plain - tilted).max() for _, plain, tilted, _ in spaces) > 0.01
+
+        def count_vectors(size, plain, tilted, colours):
+            for cells in itertools.combinations_with_replacement(range(len(plain)), size):
+                c = np.bincount(cells, minlength=len(plain))
+                ways = math.factorial(size) / np.prod([math.factorial(x) for x in c])
+                yield c @ colours, ways * np.prod(plain ** c), ways * np.prod(tilted ** c)
+
+        hits = []
+        for combo in itertools.product(*(list(count_vectors(*s)) for s in spaces)):
+            if np.array_equal(sum(h for h, _, _ in combo), target):
+                hits.append((np.prod([p for _, p, _ in combo]), np.prod([t for _, _, t in combo])))
+        plain, tilted = np.array(hits).T
+        assert len(hits) > 10
+        assert np.abs(plain / plain.sum() - tilted / tilted.sum()).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seq,sigma,family", [
+    (DegreeSequence((1, 2), ()), (0, 1), models.sbm(2, 1.0, 3).family),          # m = 0
+    (DegreeSequence((2, 2), (2, 2)), (0, 0), WeightFamily.constant(1, [2])),      # q = 1
+    (DegreeSequence((2, 2, 2), (2, 2, 2)), (1, 1, 1), models.sbm(2, 1.0, 3).family),  # one live colour
+    (DegreeSequence((2, 2, 2), (2, 1)), (0, 1, 0), WeightFamily.constant(2, [1, 2], 1.5)),
+])
+def test_planted_edge_cases(seq, sigma, family):
+    sigma = np.array(sigma)
+    for seed in range(20):
+        g = sample_planted(seq, sigma, family, 0, seed)
+        assert tuple(len(fv) for fv in g.factor_vars) == seq.factor_arities
+        assert (g.cavity_counts() >= 0).all()
+        assert g.cavity_counts().sum() == seq.cavity_count
+        assert g.meta["colouring_attempts"] >= 1
+
+
+def test_planted_block_model_seed_7_attempts():
+    # the CLI's seed-7 ground truth, which exhausted the rejection cap of a
+    # per-factor sampler after 774,596 attempts
+    model = models.sbm(2, 3.0, 3)
+    seq = sample_degree_sequence(2000, model.dspec, model.kspec, 7)
+    sigma = uniform_assignment(2000, 2, substream(7, 5))
+    g = sample_planted(seq, sigma, model.family, 0, 7)
+    assert g.meta["colouring_attempts"] <= 10_000
+    assert np.array_equal(np.bincount(np.concatenate(g.factor_vars), minlength=2000),
+                          seq.var_degrees)
 
 
 def test_planted_rejection_cap_raises():
     seq = DegreeSequence((2, 2, 2), (2, 2))
     fam = models.ldgm(0.3, D2, K2).family
     with pytest.raises(AttemptsExhausted):
-        sample_planted(seq, np.array([0, 0, 1]), fam, 0, 0,
-                       max_attempts=0, mcmc_fallback=False)
+        sample_planted(seq, np.array([0, 0, 1]), fam, 0, 0, max_attempts=0)
 
 
 # ---------------------------------------------------------------------------
