@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CapExceeded
 from .graphmodel import (DegreeSequence, FactorGraph, WeightFamily,
@@ -187,7 +186,8 @@ def boltzmann_sample(g: FactorGraph, count: int, seed: int,
                      *, cap: int = SAMPLE_STATE_CAP) -> np.ndarray:
     """Exact inverse-CDF samples from the Boltzmann distribution, (count, n)."""
     logw = np.concatenate([logw for _, logw in _log_weight_blocks(g, cap)[1]])
-    cdf = np.cumsum(np.exp(logw - logsumexp(logw)))
+    w = np.exp(logw - logw.max())
+    cdf = np.cumsum(w / w.sum())
     cdf[-1] = 1.0
     picks = np.searchsorted(cdf, substream(seed, 30).random(count), side="right")
     return _state_digits(g.q, g.n, picks)

@@ -17,8 +17,10 @@ convention is index ``0`` is "+1" and index ``1`` is "-1".
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -80,19 +82,30 @@ class DegreeSpec:
     @classmethod
     def poisson(cls, mean: float, *, max_support: int = MAX_DEGREE,
                 tail_mass: float = 1e-12) -> "DegreeSpec":
-        """Poisson(mean) truncated to a bounded support and renormalised."""
-        from scipy.stats import poisson as _poisson
+        """Poisson(mean) truncated to a bounded support and renormalised.
 
+        The support ends at the first cut with P(X > cut) <= ``tail_mass``,
+        or at ``max_support``; ``truncated_mass`` is P(X > cut).  Tails are
+        summed from the far end, smallest terms first, out to where the
+        terms fall e^-45 below the first one past both the cap and the mean.
+        """
         if mean <= 0:
             raise ValueError("poisson mean must be positive")
-        cut = 0
-        while cut < max_support and _poisson.sf(cut, mean) > tail_mass:
-            cut += 1
-        support = np.arange(cut + 1)
-        pmf = _poisson.pmf(support, mean)
-        dropped = 1.0 - pmf.sum()
-        pmf = pmf / pmf.sum()
-        return cls(tuple(int(v) for v in support), tuple(pmf), truncated_mass=max(dropped, 0.0))
+        log_mean = math.log(mean)
+
+        def log_pmf(j):
+            return j * log_mean - mean - math.lgamma(j + 1)
+
+        far = max(max_support, math.ceil(mean)) + 1
+        floor = log_pmf(far) - 45.0
+        while log_pmf(far) > floor:
+            far += 1
+        pmf = np.exp([log_pmf(j) for j in range(far + 1)])
+        sf = np.cumsum(pmf[::-1])[::-1][1:]          # sf[c] = P(X > c)
+        cut = next((c for c in range(max_support) if sf[c] <= tail_mass), max_support)
+        kept = pmf[:cut + 1]
+        return cls(tuple(range(cut + 1)), tuple(kept / kept.sum()),
+                   truncated_mass=float(sf[cut]))
 
     @cached_property
     def mean(self) -> float:
@@ -386,6 +399,22 @@ def _parity_coefficients(q: int, k: int, flat: np.ndarray) -> Optional[np.ndarra
     return coefs
 
 
+def _int_tuple(values) -> tuple:
+    return tuple(np.asarray(values, dtype=np.int64).tolist())
+
+
+def _split(values: list, sizes: Sequence[int]) -> tuple:
+    """Consecutive runs of ``values`` with the given lengths, as tuples."""
+    return tuple(tuple(values[e - k:e]) for e, k in zip(itertools.accumulate(sizes), sizes))
+
+
+def _checked_pins(pins, n: int, q: int) -> tuple:
+    pins = tuple((int(v), int(s)) for v, s in pins)
+    if not all(0 <= v < n and 0 <= s < q for v, s in pins):
+        raise ValueError("pin out of range")
+    return pins
+
+
 @dataclass(frozen=True, eq=False)
 class FactorGraph:
     """A factor graph with clone-level pairing and optional pinned spins.
@@ -406,19 +435,19 @@ class FactorGraph:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "var_degrees", tuple(int(v) for v in self.var_degrees))
-        object.__setattr__(self, "factor_vars",
-                           tuple(tuple(int(v) for v in fv) for fv in self.factor_vars))
-        object.__setattr__(self, "factor_tables", tuple(int(t) for t in self.factor_tables))
-        object.__setattr__(self, "pins", tuple((int(v), int(s)) for v, s in self.pins))
+        n = len(self.var_degrees)
+        factor_vars = tuple(map(tuple, self.factor_vars))
+        sizes = list(map(len, factor_vars))
+        flat = np.fromiter(itertools.chain.from_iterable(factor_vars), dtype=np.int64,
+                           count=sum(sizes))
+        object.__setattr__(self, "var_degrees", _int_tuple(self.var_degrees))
+        object.__setattr__(self, "factor_vars", _split(flat.tolist(), sizes))
+        object.__setattr__(self, "factor_tables", _int_tuple(self.factor_tables))
+        object.__setattr__(self, "pins", _checked_pins(self.pins, n, self.q))
         if len(self.factor_vars) != len(self.factor_tables):
             raise ValueError("factor tuples and table choices must be parallel")
-        for fv in self.factor_vars:
-            if any(v < 0 or v >= self.n for v in fv):
-                raise ValueError("factor neighbour out of range")
-        for v, s in self.pins:
-            if not (0 <= v < self.n and 0 <= s < self.q):
-                raise ValueError("pin out of range")
+        if flat.size and (flat.min() < 0 or flat.max() >= n):
+            raise ValueError("factor neighbour out of range")
 
     @property
     def n(self) -> int:
@@ -450,7 +479,10 @@ class FactorGraph:
         return np.asarray(self.var_degrees) - self.realized_degrees()
 
     def with_pins(self, extra: Sequence) -> "FactorGraph":
-        return replace(self, pins=self.pins + tuple(extra))
+        """This graph with more pins; only the added pins are validated."""
+        g = copy.copy(self)
+        object.__setattr__(g, "pins", self.pins + _checked_pins(extra, self.n, self.q))
+        return g
 
     def is_simple(self) -> bool:
         return all(len(set(fv)) == len(fv) for fv in self.factor_vars)
@@ -587,13 +619,8 @@ def _slot_tuples(seq: DegreeSequence, clones: np.ndarray):
     on the slots, which are listed factor by factor."""
     d = np.asarray(seq.var_degrees, dtype=np.int64)
     index = np.arange(seq.total_var_degree) - np.repeat(np.cumsum(d) - d, d)
-    ends = np.cumsum(seq.factor_arities, dtype=np.int64).tolist()
-
-    def split(values):
-        values = values.tolist()
-        return tuple(tuple(values[e - k:e]) for e, k in zip(ends, seq.factor_arities))
-
-    return split(_clone_owners(d)[clones]), split(index[clones])
+    return (_split(_clone_owners(d)[clones].tolist(), seq.factor_arities),
+            _split(index[clones].tolist(), seq.factor_arities))
 
 
 def _pair_topology(seq: DegreeSequence, rng: np.random.Generator):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .graphmodel import (DegreeSpec, FactorGraph, WeightFamily,
                          _parity_tensor)
@@ -116,6 +115,11 @@ def potts(q: int, beta: float, d: int) -> ModelSpec:
                    extras={"target": "null-model quenched free entropy"})
 
 
+def _normal_cdf(x: float) -> float:
+    # erfc keeps full relative accuracy in the lower tail, where 1 - cdf(-x) would not
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def _coupling_levels(r: int):
     """Symmetric 2 r^2-level discretisation of a standard Gaussian.
 
@@ -131,11 +135,11 @@ def _coupling_levels(r: int):
         lo = -r + i / r
         hi = -r + (i + 1) / r
         level = lo if i < r * r else hi
-        mass = norm.cdf(hi) - norm.cdf(lo)
+        mass = _normal_cdf(hi) - _normal_cdf(lo)
         if i == 0:
-            mass += norm.cdf(-r)
+            mass += _normal_cdf(-r)
         if i == 2 * r * r - 1:
-            mass += norm.sf(r)
+            mass += _normal_cdf(-r)
         levels.append(level)
         masses.append(mass)
     levels = np.asarray(levels)

@@ -49,6 +49,20 @@ def test_poisson_spec_truncates_and_renormalises():
     assert tight.truncated_mass > 1e-3
 
 
+@pytest.mark.parametrize("mean, max_support",
+                         [(m, 64) for m in (0.5, 1, 2, 2.5, 3, 5, 10, 15, 20)] + [(10.0, 12)])
+def test_poisson_spec_matches_scipy(mean, max_support):
+    spec = DegreeSpec.poisson(mean, max_support=max_support)
+    cut = 0
+    while cut < max_support and poisson.sf(cut, mean) > 1e-12:
+        cut += 1
+    assert spec.support == tuple(range(cut + 1))
+    ref = poisson.pmf(np.arange(cut + 1), mean)
+    assert np.abs(np.array(spec.mass) - ref / ref.sum()).max() <= 1e-15
+    tail = poisson.sf(cut, mean)
+    assert abs(spec.truncated_mass - tail) <= 1e-9 * tail
+
+
 # ---------------------------------------------------------------------------
 # degree sequences
 # ---------------------------------------------------------------------------
@@ -533,6 +547,31 @@ def test_pin_budgeted_mode_runs():
     pinned = pin(g, 0, seed=9, mode="budgeted", window=6.0)
     for v, s in pinned.pins:
         assert 0 <= v < 4 and s in (0, 1)
+
+
+def test_graph_validation_and_with_pins():
+    fam = WeightFamily.constant(2, [1, 2])
+    g = FactorGraph(family=fam, var_degrees=np.array([1, 2, 1]),
+                    factor_vars=[np.array([0, 1]), (np.int64(2),), [1, 2]],
+                    factor_tables=np.zeros(3, dtype=np.int64), pins=[(np.int64(1), 1)])
+    assert g.factor_vars == ((0, 1), (2,), (1, 2))
+    assert g.var_degrees == (1, 2, 1) and g.factor_tables == (0, 0, 0)
+    parts = g.var_degrees + g.factor_tables + sum(g.factor_vars, ()) + sum(g.pins, ())
+    assert {type(x) for x in parts} == {int}
+    for bad in ([(0, 3)], [(-1, 0)]):
+        with pytest.raises(ValueError, match="neighbour out of range"):
+            FactorGraph(family=fam, var_degrees=(1, 1, 1), factor_vars=bad, factor_tables=(0,))
+    with pytest.raises(ValueError, match="parallel"):
+        FactorGraph(family=fam, var_degrees=(1,), factor_vars=[(0,)], factor_tables=(0, 0))
+    pinned = g.with_pins([(np.int64(2), np.int64(0))])
+    assert pinned.pins == ((1, 1), (2, 0)) and g.pins == ((1, 1),)
+    assert pinned.factor_vars is g.factor_vars
+    for bad in ([(3, 0)], [(0, 2)], [(-1, 0)]):
+        with pytest.raises(ValueError, match="pin out of range"):
+            g.with_pins(bad)
+        with pytest.raises(ValueError, match="pin out of range"):
+            FactorGraph(family=fam, var_degrees=(1, 2, 1), factor_vars=g.factor_vars,
+                        factor_tables=g.factor_tables, pins=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import norm
 
 from factorcavity import assumptions, exact, models
 from factorcavity.graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
@@ -143,6 +144,15 @@ def test_kspin_levels_symmetric():
     assert np.allclose(masses[order], masses[flipped], atol=1e-15)
     assert abs(masses.sum() - 1.0) < 1e-12
     assert 0.0 not in levels
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_coupling_level_masses_match_scipy(r):
+    _, masses = models._coupling_levels(r)
+    ref = np.diff(norm.cdf(-r + np.arange(2 * r * r + 1) / r))
+    ref[0] += norm.cdf(-r)
+    ref[-1] += norm.sf(r)
+    assert np.abs(masses - ref / ref.sum()).max() <= 1e-15
 
 
 def test_kspin_min_entry():
