@@ -143,7 +143,7 @@ def criterion_5_information_term(seed: int) -> CriterionResult:
         model = models.ldgm(eta, _D2, _K23)
         target = math.log(2.0) + eta * math.log(eta) + (1 - eta) * math.log(1 - eta)
         worst = max(worst, abs(exact.information_term(model.family, model.kspec) - target))
-    mi = bethe.mutual_information(models.ldgm(0.5, _D2, _K2), restarts=1, seed=seed,
+    mi = bethe.mutual_information(models.ldgm(0.5, _D2, _K2), seed=seed,
                                   pop_size=1000, sweeps=20, samples=20_000,
                                   pos_trials=100)
     mi_band = max(3.0 * mi.stderr, 1e-10)
@@ -173,7 +173,7 @@ def criterion_7_finite_size(seed: int) -> CriterionResult:
     for eta in (0.4, 0.45):
         model = models.ldgm(eta, _D2, _K2)
         mc = exact.mi_monte_carlo(model, 12, 200, seed)
-        formula = bethe.mutual_information(model, restarts=1, seed=seed,
+        formula = bethe.mutual_information(model, seed=seed,
                                            pop_size=2000, sweeps=60,
                                            samples=30_000, pos_trials=150)
         band = max(3.0 * math.hypot(mc.stderr, formula.stderr), 0.05)

@@ -1,10 +1,14 @@
 """The variational side: Bethe functional, population dynamics, thresholds.
 
-The free-entropy functional is evaluated by Monte Carlo over its defining
-ingredients (degrees, size-biased arities, weight choices, iid population
-points); its heuristic maximiser is searched by population dynamics from a
-near-uniform and a polarised initialisation.  The supremum reported by
-:func:`sup_bethe` is a best-found lower bound, never a certificate.
+The free-entropy functional is evaluated by Monte Carlo on the planted tree:
+every incoming message is drawn given the colour of the variable it enters,
+from weight tables and spin tuples tilted by the planted law and population
+points of the tuple's colours.  Its heuristic maximiser is searched by
+population dynamics on the same planted draw, from a near-uniform and a
+polarised initialisation.  The planted form equals the functional B(pi)
+only on the Nishimori line, where population dynamics converges; the
+supremum reported by :func:`sup_bethe` is a best-found lower bound under
+that condition, never a certificate.
 """
 
 from __future__ import annotations
@@ -17,14 +21,14 @@ import numpy as np
 
 from .errors import (AssumptionViolation, NoCrossing, NumericalUnderflow,
                      ZeroMean)
-from .graphmodel import DegreeSpec, WeightFamily
-from .rng import spin_permutations, substream
+from .graphmodel import DegreeSpec
+from .rng import substream
 
 DEFAULT_POPULATION = 10_000
 DEFAULT_SWEEPS = 200
 DEFAULT_SAMPLES = 100_000
 
-_CHUNK = 1 << 14
+_CHUNK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -34,22 +38,22 @@ _CHUNK = 1 << 14
 
 @dataclass(eq=False)
 class SimplexPopulation:
-    """An empirical measure on the spin simplex, stored as a point array.
+    """An empirical measure on the spin simplex whose points carry colours.
 
-    ``symmetrized`` marks populations whose barycenter drifted: they are
-    read through uniformly random alphabet permutations, which restores the
-    exact barycenter for symmetric families without touching the points.
+    Point i has the colour i mod q, the planted spin of the variable it
+    stands for.  Colours stay fixed while population dynamics rewrites the
+    points, and are balanced, so that :meth:`draw` serves every colour once
+    the population has at least q points.
     """
 
     points: np.ndarray
     generation: int = 0
-    symmetrized: bool = False
     label: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError("points must be a (size, q) array")
+        if pts.ndim != 2 or pts.shape[0] < pts.shape[1]:
+            raise ValueError("points must be a (size, q) array with size >= q")
         if np.any(pts < 0) or np.abs(pts.sum(axis=1) - 1.0).max() > 1e-10:
             raise ValueError("population points must lie on the simplex")
         self.points = pts
@@ -62,21 +66,17 @@ class SimplexPopulation:
     def q(self) -> int:
         return self.points.shape[1]
 
-    def barycenter(self) -> np.ndarray:
-        return self.points.mean(axis=0)
-
     @classmethod
-    def uniform_atom(cls, q: int, size: int = 1) -> "SimplexPopulation":
-        return cls(np.full((size, q), 1.0 / q), label="uniform-atom")
+    def uniform_atom(cls, q: int) -> "SimplexPopulation":
+        return cls(np.full((q, q), 1.0 / q), label="uniform-atom")
 
-    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """iid point draws; applies random spin relabelings when symmetrized."""
-        pts = self.points[rng.integers(0, self.size, size=count)]
-        if self.symmetrized:
-            perms = spin_permutations(self.q)
-            pick = rng.integers(0, len(perms), size=count)
-            pts = np.take_along_axis(pts, perms[pick], axis=1)
-        return pts
+    def draw(self, rng: np.random.Generator, colours) -> np.ndarray:
+        """One uniformly chosen point of colour ``colours[...]`` per entry,
+        as an array of shape ``colours.shape + (q,)``."""
+        colours = np.asarray(colours, dtype=np.int64)
+        counts = (self.size - colours + self.q - 1) // self.q
+        rank = np.minimum((rng.random(colours.shape) * counts).astype(np.int64), counts - 1)
+        return self.points[colours + self.q * rank]
 
 
 @dataclass
@@ -159,66 +159,38 @@ def bethe_uniform_atom(model) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vectorised ingredient evaluation
+# the planted-tree draw
 # ---------------------------------------------------------------------------
 
 
-def _draw_edge_ingredients(family: WeightFamily, khat: DegreeSpec, count: int,
-                           rng: np.random.Generator):
-    """Per-edge (arity, table id) draws for ``count`` incoming edges."""
-    ks = khat.sample(rng, count)
-    tables = np.empty(count, dtype=np.int64)
-    for k in np.unique(ks).tolist():
-        sel = np.flatnonzero(ks == k)
-        tables[sel] = rng.choice(family.n_tables(k), size=len(sel),
-                                 p=family.compiled.arity[k].masses)
-    return ks, tables
+def _planted_messages(model, pop: SimplexPopulation, klaw: DegreeSpec,
+                      roots: np.ndarray, rng: np.random.Generator):
+    """Arities and open-slot messages of factors hanging off root colours.
 
-
-def _all_parity(family: WeightFamily, ks) -> bool:
-    return all(family.compiled.arity[k].parity is not None
-               for k in np.unique(ks).tolist())
-
-
-def _draw_slot_points(pop: SimplexPopulation, slots: np.ndarray, parity: bool,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Population points for ``slots[i]`` slots of row i, (rows, max slots, q).
-
-    Parity batches draw the points row after row, other batches one column
-    of all rows per slot: the seeded streams of both paths keep their order.
+    Row i is a factor with arity from ``klaw`` and a uniform open slot h.
+    Its table and spin tuple are drawn jointly with weight P(psi) psi(tau)
+    given tau_h = ``roots[i]``, each other slot j takes a population point of
+    colour tau_j, and the message is the table contracted at slot h.
     """
-    out = np.zeros((len(slots), int(slots.max(initial=0)), pop.q))
-    if parity:
-        out[np.arange(out.shape[1]) < slots[:, None]] = pop.draw(rng, int(slots.sum()))
-    else:
-        for j in range(out.shape[1]):
-            out[:, j] = pop.draw(rng, len(slots))
-    return out
-
-
-def _edge_messages(family: WeightFamily, pop: SimplexPopulation, ks, tables,
-                   rng: np.random.Generator) -> np.ndarray:
-    """S_e(spin) for each edge: the table contracted with k-1 point draws.
-
-    Parity tables are symmetric in their slots, so only other tables draw
-    the open slot.
-    """
-    parity = _all_parity(family, ks)
-    hs = np.zeros(len(ks), dtype=np.int64)
-    if not parity:
-        for k in np.unique(ks).tolist():
-            sel = np.flatnonzero(ks == k)
-            hs[sel] = rng.integers(0, k, size=len(sel))
-    pts = _draw_slot_points(pop, ks - 1, parity, rng)
-    return family.contract(ks, tables, pts, hs)
-
-
-def _factor_mixes(family: WeightFamily, kspec: DegreeSpec, pop: SimplexPopulation,
-                  count: int, rng: np.random.Generator):
-    """(k, mix) per sample for the factor-side term."""
-    ks, tables = _draw_edge_ingredients(family, kspec, count, rng)
-    pts = _draw_slot_points(pop, ks, _all_parity(family, ks), rng)
-    return ks, family.contract(ks, tables, pts)
+    family = model.family
+    family.xi()  # the rooted draw is the planted law only under SYM
+    q = model.q
+    count = len(roots)
+    ks = klaw.sample(rng, count)
+    hs = np.zeros(count, dtype=np.int64)
+    tables = np.zeros(count, dtype=np.int64)
+    others = np.zeros((count, int(ks.max(initial=1)) - 1), dtype=np.int64)
+    for k in np.flatnonzero(np.bincount(ks)).tolist():
+        rows = np.flatnonzero(ks == k)
+        form = family.compiled.arity[k]
+        hs[rows] = rng.integers(0, k, size=len(rows))
+        block = hs[rows] * q + roots[rows]
+        pick = np.searchsorted(form.rooted_cdf, 2 * block + rng.random(len(rows)))
+        rest = q ** (k - 1)
+        tables[rows] = pick // rest % len(form.masses)
+        others[rows, :k - 1] = form.other_colours[pick % rest]
+    # slots past a row's own arity draw colour 0 and are never read
+    return ks, family.contract(ks, tables, pop.draw(rng, others), hs)
 
 
 def _log_products(messages: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -234,53 +206,40 @@ def _log_products(messages: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return np.where(degrees[:, None] > 0, np.add.reduceat(padded, offsets, axis=0), 0.0)
 
 
-def _variable_samples(model, pop: SimplexPopulation, count: int,
-                      rng: np.random.Generator):
-    """Per-sample variable term and the log of its Lambda argument."""
-    q = model.q
-    log_xi = math.log(model.family.xi())
-    khat = size_biased(model.kspec)
-    ds = model.dspec.sample(rng, count)
-    total_edges = int(ds.sum())
-    ks, tables = _draw_edge_ingredients(model.family, khat, total_edges, rng)
-    per_sigma = _log_products(_edge_messages(model.family, pop, ks, tables, rng), ds)
-    shifted = per_sigma - (ds * log_xi)[:, None]
-    mx = shifted.max(axis=1)
-    ratio = np.exp(shifted - mx[:, None]).sum(axis=1) * np.exp(mx)
-    log_arg = np.log(ratio) + ds * log_xi
-    values = ratio * log_arg / q
-    return values, log_arg, ds
-
-
-def _factor_samples(model, pop: SimplexPopulation, count: int,
-                    rng: np.random.Generator):
-    xi = model.family.xi()
-    coeff = model.dspec.mean / (xi * model.kspec.mean)
-    ks, mixes = _factor_mixes(model.family, model.kspec, pop, count, rng)
-    if np.any(mixes <= 0):
-        raise NumericalUnderflow("nonpositive factor mix")
-    return coeff * (np.asarray(ks) - 1) * mixes * np.log(mixes)
-
-
 def bethe_estimate(pi: SimplexPopulation, model, samples: int = DEFAULT_SAMPLES,
                    seed: int = 0) -> BetheEstimate:
-    """Monte-Carlo average of the functional's integrand under ``pi``.
+    """Monte-Carlo value of the functional in its planted form,
 
-    Variable and factor ingredients are drawn independently per sample and
-    the difference is averaged; the reported standard error is the sample
-    standard deviation of that difference.
+        E[ln Z_v] - (E[d]/E[k]) E[(k-1) ln mix].
+
+    A sample draws a root colour, a degree d from the degree law and d
+    planted messages into the root, with Z_v = sum_s prod_i S_i(s); and a
+    factor of arity k from the arity law, whose planted message at its open
+    slot is closed with a point of the root colour to give mix.  The
+    reported standard error is the sample standard deviation of the
+    per-sample difference over sqrt(samples).
+
+    The value is B(pi) only for a population on the Nishimori line, such as
+    a converged population-dynamics fixed point; off that line the planted
+    and Lambda forms are different functionals, and no warning is given.
     """
+    khat = size_biased(model.kspec)
+    coeff = model.dspec.mean / model.kspec.mean
     vals = np.empty(samples)
-    done = 0
-    chunk_id = 0
-    while done < samples:
+    for chunk_id, done in enumerate(range(0, samples, _CHUNK)):
         b = min(_CHUNK, samples - done)
         rng = substream(seed, 70, chunk_id)
-        v, _, _ = _variable_samples(model, pi, b, rng)
-        f = _factor_samples(model, pi, b, rng)
-        vals[done:done + b] = v - f
-        done += b
-        chunk_id += 1
+        roots = rng.integers(0, model.q, size=b)
+        ds = model.dspec.sample(rng, b)
+        _, messages = _planted_messages(model, pi, khat, np.repeat(roots, ds), rng)
+        logs = _log_products(messages, ds)
+        top = logs.max(axis=1)
+        log_z = top + np.log(np.exp(logs - top[:, None]).sum(axis=1))
+        ks, messages = _planted_messages(model, pi, model.kspec, roots, rng)
+        mixes = (messages * pi.draw(rng, roots)).sum(axis=1)
+        if np.any(mixes <= 0):
+            raise NumericalUnderflow("nonpositive factor mix")
+        vals[done:done + b] = log_z - coeff * (ks - 1) * np.log(mixes)
     value = float(vals.mean())
     stderr = float(vals.std(ddof=1)) / math.sqrt(samples) if samples > 1 else math.inf
     return BetheEstimate(value=value, stderr=stderr, samples=samples)
@@ -291,61 +250,57 @@ def bethe_estimate(pi: SimplexPopulation, model, samples: int = DEFAULT_SAMPLES,
 # ---------------------------------------------------------------------------
 
 
-def _initial_population(q: int, size: int, init: str, rng: np.random.Generator,
+_INITS = ("uniform-perturbed", "planted-polarized")
+
+
+def _initial_population(colours: np.ndarray, q: int, init: str,
+                        rng: np.random.Generator,
                         polarisation: float = 0.98) -> np.ndarray:
     if init == "uniform-perturbed":
-        return rng.dirichlet([50.0] * q, size=size)
+        return rng.dirichlet([50.0] * q, size=len(colours))
     if init == "planted-polarized":
-        spins = rng.integers(0, q, size=size)
-        pts = np.full((size, q), (1.0 - polarisation) / q)
-        pts[np.arange(size), spins] += polarisation
+        pts = np.full((len(colours), q), (1.0 - polarisation) / q)
+        pts[np.arange(len(colours)), colours] += polarisation
         return pts
-    raise ValueError("init must be 'uniform-perturbed' or 'planted-polarized'")
+    raise ValueError(f"init must be one of {_INITS}")
 
 
 def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
                         iters: int = DEFAULT_SWEEPS,
                         init: str = "uniform-perturbed", seed: int = 0,
-                        *, batch: int = 256, recenter_tol: float = 0.02) -> SimplexPopulation:
-    """Iterate the distributional update on an empirical population.
+                        *, batch: int = 256) -> SimplexPopulation:
+    """Iterate the planted distributional update on a colour-labelled population.
 
-    One sweep replaces ``pop_size`` randomly chosen points.  Each new point
-    is the normalised product of excess-degree many incoming summaries built
-    from size-biased arities, weight choices and current population points.
-    Near-uniform runs whose barycenter drifts beyond ``recenter_tol`` are
-    flagged for evaluation-time symmetrisation; polarised runs are labelled
-    and never re-centered.
+    Point i has the fixed colour i mod q.  One sweep replaces every point
+    once, in random order and in batches that read the pre-batch
+    population: a new point of colour s is the normalised product of
+    excess-degree many planted messages rooted at s.  ``uniform-perturbed``
+    starts every point near the uniform vector; ``planted-polarized``
+    starts each point near the corner of its own colour.
     """
     if pop_size < 100:
         raise ValueError("population size must be at least 100")
     q = model.q
     rng = substream(seed, 80)
-    pop = SimplexPopulation(_initial_population(q, pop_size, init, rng),
-                            label=init)
+    colours = np.arange(pop_size) % q
+    pop = SimplexPopulation(_initial_population(colours, q, init, rng), label=init)
     excess = _excess_degree_law(model.dspec)
     khat = size_biased(model.kspec)
     for sweep in range(iters):
         order = rng.permutation(pop_size)
-        replaced = 0
-        while replaced < pop_size:
-            b = min(batch, pop_size - replaced)
-            targets = order[replaced:replaced + b]
-            dstar = excess.sample(rng, b)
-            total = int(dstar.sum())
-            ks, tables = _draw_edge_ingredients(model.family, khat, total, rng)
-            acc = _log_products(_edge_messages(model.family, pop, ks, tables, rng), dstar)
+        for start in range(0, pop_size, batch):
+            targets = order[start:start + batch]
+            dstar = excess.sample(rng, len(targets))
+            roots = np.repeat(colours[targets], dstar)
+            _, messages = _planted_messages(model, pop, khat, roots, rng)
+            acc = _log_products(messages, dstar)
             acc -= acc.max(axis=1, keepdims=True)
             new_pts = np.exp(acc)
             norms = new_pts.sum(axis=1, keepdims=True)
             if np.any(norms <= 0) or np.any(~np.isfinite(norms)):
                 raise NumericalUnderflow("point normaliser underflowed")
             pop.points[targets] = new_pts / norms
-            replaced += b
         pop.generation += 1
-        if init == "uniform-perturbed" and not pop.symmetrized:
-            drift = float(np.abs(pop.barycenter() - 1.0 / q).max())
-            if drift > recenter_tol:
-                pop.symmetrized = True
     return pop
 
 
@@ -359,21 +314,22 @@ def _excess_degree_law(dspec: DegreeSpec) -> DegreeSpec:
 # ---------------------------------------------------------------------------
 
 
-def sup_bethe(model, restarts: int = 2, seed: int = 0, *,
+def sup_bethe(model, seed: int = 0, *,
               pop_size: int = DEFAULT_POPULATION, sweeps: int = DEFAULT_SWEEPS,
               samples: int = DEFAULT_SAMPLES) -> SupBethe:
-    """Best functional value over the uniform atom and dynamics outputs.
+    """Best functional value over the uniform atom and one dynamics run per start.
 
-    A lower bound on the true supremum with heuristic status; returns which
-    candidate won and every candidate's value.
+    A lower bound on the true supremum with heuristic status, and only when
+    every dynamics run has converged to the Nishimori line (too few sweeps
+    leave a population whose planted-form value is not B of any
+    population); returns which candidate won and every candidate's value.
     """
     candidates = {"uniform-atom": (bethe_uniform_atom(model), 0.0)}
-    for r in range(restarts):
-        for flag, init in enumerate(("uniform-perturbed", "planted-polarized")):
-            child = int(substream(seed, 81, r, flag).integers(2 ** 62))
-            pop = population_dynamics(model, pop_size, sweeps, init, child)
-            est = bethe_estimate(pop, model, samples, child + 1)
-            candidates[f"pd-{init}-r{r}"] = (est.value, est.stderr)
+    for flag, init in enumerate(_INITS):
+        child = int(substream(seed, 81, flag).integers(2 ** 62))
+        pop = population_dynamics(model, pop_size, sweeps, init, child)
+        est = bethe_estimate(pop, model, samples, child + 1)
+        candidates[f"pd-{init}"] = (est.value, est.stderr)
     best = max(v for v, _ in candidates.values())
     # candidates within float noise of the best tie; the earliest wins, so
     # the closed-form uniform atom beats an equal-valued dynamics run
@@ -383,7 +339,7 @@ def sup_bethe(model, restarts: int = 2, seed: int = 0, *,
     return SupBethe(value=value, stderr=stderr, tag=tag, candidates=candidates)
 
 
-def mutual_information(model, restarts: int = 2, seed: int = 0, *,
+def mutual_information(model, seed: int = 0, *,
                        waive_pos: bool = False, pos_trials: int = 200,
                        pop_size: int = DEFAULT_POPULATION,
                        sweeps: int = DEFAULT_SWEEPS,
@@ -408,8 +364,7 @@ def mutual_information(model, restarts: int = 2, seed: int = 0, *,
 
     xi = model.family.xi()
     info = information_term(model.family, model.kspec)
-    sup = sup_bethe(model, restarts, seed, pop_size=pop_size, sweeps=sweeps,
-                    samples=samples)
+    sup = sup_bethe(model, seed, pop_size=pop_size, sweeps=sweeps, samples=samples)
     coeff = model.dspec.mean / (xi * model.kspec.mean)
     value = math.log(model.q) + coeff * info - sup.value
     return MIResult(value=value, stderr=sup.stderr, information_term=info, sup=sup)
@@ -438,7 +393,7 @@ class ScanResult:
 
 def threshold_scan(model_family: Callable[[float], object], param_grid: Sequence[float],
                    comparator: Union[str, float, Callable] = "annealed",
-                   *, seed: int = 0, restarts: int = 1,
+                   *, seed: int = 0,
                    pop_size: int = 2000, sweeps: int = 100,
                    samples: int = 20_000) -> ScanResult:
     """Walk a sorted grid until the functional exceeds its comparator by 3 SE.
@@ -460,15 +415,13 @@ def threshold_scan(model_family: Callable[[float], object], param_grid: Sequence
             comp = float(comparator(model))
         else:
             comp = float(comparator)
-        sup = sup_bethe(model, restarts, seed + 104729 * idx,
+        sup = sup_bethe(model, seed + 104729 * idx,
                         pop_size=pop_size, sweeps=sweeps, samples=samples)
-        uni = [sup.candidates[t] for t in sup.candidates if t.startswith("pd-uniform")]
-        pla = [sup.candidates[t] for t in sup.candidates if t.startswith("pd-planted")]
-        best_uni = max(uni, key=lambda v: v[0]) if uni else (math.nan, math.nan)
-        best_pla = max(pla, key=lambda v: v[0]) if pla else (math.nan, math.nan)
+        uni = sup.candidates["pd-uniform-perturbed"]
+        pla = sup.candidates["pd-planted-polarized"]
         row = ScanRow(param=param, b_uniform=sup.candidates["uniform-atom"][0],
-                      b_pd_uniform=best_uni[0], b_pd_uniform_se=best_uni[1],
-                      b_pd_planted=best_pla[0], b_pd_planted_se=best_pla[1],
+                      b_pd_uniform=uni[0], b_pd_uniform_se=uni[1],
+                      b_pd_planted=pla[0], b_pd_planted_se=pla[1],
                       phi_a=phi_a, sup=sup.value, sup_se=sup.stderr,
                       comparator=comp)
         rows.append(row)

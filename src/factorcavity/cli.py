@@ -28,6 +28,7 @@ from .graphmodel import (FactorGraph, sample_degree_sequence, sample_null,
 from .rng import substream
 
 WORKER_ENV = "FACTORCAVITY_WORKERS"
+_BUDGET_KEYS = ("pop_size", "sweeps", "samples", "pos_trials")
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +53,9 @@ class ExperimentConfig:
     def validate(self):
         if not self.grid_values:
             raise ConfigError("parameter grid must be nonempty")
+        unknown = sorted(set(self.budget) - set(_BUDGET_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown budget keys {unknown}; known: {list(_BUDGET_KEYS)}")
         if any(int(v) <= 0 for v in self.budget.values() if isinstance(v, (int, float))):
             raise ConfigError("budget entries must be positive")
         name = self.model.get("name")
@@ -92,7 +96,6 @@ def _mi_point(payload):
     child = int(substream(config.seed, 200, index).integers(2 ** 62))
     result = bethe.mutual_information(
         model,
-        restarts=int(budget.get("restarts", 1)),
         seed=child,
         pop_size=int(budget.get("pop_size", 2000)),
         sweeps=int(budget.get("sweeps", 100)),
@@ -121,7 +124,6 @@ def run_threshold(config: ExperimentConfig):
         config.grid_values,
         comparator=config.comparator,
         seed=config.seed,
-        restarts=int(budget.get("restarts", 1)),
         pop_size=int(budget.get("pop_size", 2000)),
         sweeps=int(budget.get("sweeps", 100)),
         samples=int(budget.get("samples", 20_000)),
@@ -356,9 +358,8 @@ def cmd_bp(args) -> int:
 def cmd_bethe(args) -> int:
     model = _model_from_args(args)
     started = time.time()
-    sup = bethe.sup_bethe(model, restarts=args.restarts, seed=args.seed,
-                          pop_size=args.pop_size, sweeps=args.sweeps,
-                          samples=args.samples)
+    sup = bethe.sup_bethe(model, seed=args.seed, pop_size=args.pop_size,
+                          sweeps=args.sweeps, samples=args.samples)
     payload = {
         "phi_a": bethe.annealed_free_entropy(model),
         "b_uniform_atom": bethe.bethe_uniform_atom(model),
@@ -480,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bethe", help="annealed value and heuristic supremum")
     common(p)
-    p.add_argument("--restarts", type=int, default=2)
     p.add_argument("--pop-size", type=int, default=2000, dest="pop_size")
     p.add_argument("--sweeps", type=int, default=100)
     p.add_argument("--samples", type=int, default=20000)

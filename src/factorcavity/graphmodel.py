@@ -63,8 +63,8 @@ class DegreeSpec:
             raise ValueError(f"support exceeds the degree cap {MAX_DEGREE}")
         if len(set(support)) != len(support):
             raise ValueError("support values must be distinct")
-        if any(p < 0 for p in mass):
-            raise ValueError("masses must be nonnegative")
+        if not all(math.isfinite(p) and p >= 0 for p in mass):
+            raise ValueError("masses must be finite and nonnegative")
         if abs(sum(mass) - 1.0) > 1e-12:
             raise ValueError("masses must sum to 1 within 1e-12")
         object.__setattr__(self, "support", support)
@@ -104,6 +104,9 @@ class DegreeSpec:
         sf = np.cumsum(pmf[::-1])[::-1][1:]          # sf[c] = P(X > c)
         cut = next((c for c in range(max_support) if sf[c] <= tail_mass), max_support)
         kept = pmf[:cut + 1]
+        if not kept.sum() > 0:
+            raise ValueError(f"poisson mean {mean} leaves no representable mass "
+                             f"on the support 0..{cut}")
         return cls(tuple(range(cut + 1)), tuple(kept / kept.sum()),
                    truncated_mass=float(sf[cut]))
 
@@ -179,6 +182,8 @@ class CompiledArity(NamedTuple):
     tuple_law: np.ndarray            # (q**k,) law of a planted factor's spin tuple
     colours: np.ndarray              # (q**k, q) spin counts of each tuple
     table_cdf: np.ndarray            # (q**k, tables) CDF of P(psi) psi(tuple)
+    rooted_cdf: np.ndarray           # (k*q*tables*q**(k-1),) rooted (table, tuple) CDFs
+    other_colours: np.ndarray        # (q**(k-1), k-1) spins of the other slots
 
 
 class CompiledFamily(NamedTuple):
@@ -291,18 +296,34 @@ class WeightFamily:
     @cached_property
     def compiled(self) -> CompiledFamily:
         """Flattened tables, masses, parity coefficients, the planted
-        sampler's tuple and table laws, and xi, built once."""
+        sampler's tuple and table laws, the rooted laws of population
+        dynamics, and xi, built once.
+
+        ``rooted_cdf`` holds one block per (open slot h, root spin s), in
+        that order; block b lists (table, other slots' spins) pairs with
+        weight P(psi) psi(tau) given tau_h = s, as a CDF running from 2b to
+        2b + 1, so a search for 2b + u with u in [0, 1) lands in block b.
+        """
+        q = self.q
         arity = {}
         for k, tabs in self.tables.items():
             flat = np.stack([t.ravel() for t in tabs])
             joint = self.masses[k][:, None] * flat
             cdf = np.cumsum(joint, axis=0) / joint.sum(axis=0)
             cdf[-1] = 1.0
-            digits = np.indices((self.q,) * k).reshape(k, self.q ** k)
-            colours = (digits[:, :, None] == np.arange(self.q)).sum(axis=0)
+            digits = np.indices((q,) * k).reshape(k, q ** k)
+            colours = (digits[:, :, None] == np.arange(q)).sum(axis=0)
+            tensor = joint.reshape((len(tabs),) + (q,) * k)
+            rooted = np.stack([np.moveaxis(tensor, h + 1, 0).reshape(q, -1)
+                               for h in range(k)]).reshape(k * q, -1)
+            rooted = np.cumsum(rooted, axis=1) / rooted.sum(axis=1, keepdims=True)
+            rooted[:, -1] = 1.0
+            rooted += 2.0 * np.arange(k * q)[:, None]
+            others = np.indices((q,) * (k - 1)).reshape(k - 1, q ** (k - 1)).T
             arity[k] = CompiledArity(flat, self.masses[k],
-                                     _parity_coefficients(self.q, k, flat),
-                                     joint.sum(axis=0) / joint.sum(), colours, cdf.T)
+                                     _parity_coefficients(q, k, flat),
+                                     joint.sum(axis=0) / joint.sum(), colours, cdf.T,
+                                     rooted.ravel(), others)
         values = np.concatenate([v.ravel() for v in self.marginal_sums().values()])
         return CompiledFamily(arity, float(values.mean()),
                               float(values.max() - values.min()))

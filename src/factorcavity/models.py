@@ -190,7 +190,7 @@ def kspin_log_normalizer(model: ModelSpec, table_ids: Sequence[int]) -> float:
 
 
 def lrc_threshold(beta: float, kspec: DegreeSpec, d_grid: Sequence[float], seed: int,
-                  *, r: int = 6, restarts: int = 1, pop_size: int = 2000,
+                  *, r: int = 6, pop_size: int = 2000,
                   sweeps: int = 100, samples: int = 20_000):
     """Bracket the mean degree where pair correlations stop vanishing.
 
@@ -203,8 +203,7 @@ def lrc_threshold(beta: float, kspec: DegreeSpec, d_grid: Sequence[float], seed:
         return kspin(beta, kspec, r, d=d)
 
     return threshold_scan(family, d_grid, comparator=math.log(2.0), seed=seed,
-                          restarts=restarts, pop_size=pop_size, sweeps=sweeps,
-                          samples=samples)
+                          pop_size=pop_size, sweeps=sweeps, samples=samples)
 
 
 MODELS = {

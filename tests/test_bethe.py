@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from factorcavity import bethe, models
 from factorcavity.bethe import SimplexPopulation
-from factorcavity.errors import NoCrossing, ZeroMean
+from factorcavity.errors import NoCrossing, SymViolation, ZeroMean
 from factorcavity.graphmodel import DegreeSpec, WeightFamily
 from factorcavity.models import ModelSpec
 from factorcavity.rng import substream
@@ -91,18 +91,140 @@ def test_useless_channel_estimate_constant_for_any_population():
 
 
 def test_variable_term_normalisation_at_uniform_atom():
-    # the log of the Lambda argument equals log(q) + d log(xi) termwise
-    from factorcavity.bethe import _variable_samples
+    # every planted message into the uniform atom is xi, whatever its root,
+    # arity, open slot or table
+    from factorcavity.bethe import _planted_messages
 
-    model = models.sbm(2, 0.9, 3)
-    pop = SimplexPopulation.uniform_atom(2)
-    log_xi = math.log(model.family.xi())
-    values, log_arg, ds = _variable_samples(model, pop, 4000, substream(5, 0))
-    target = math.log(2) + ds * log_xi
-    assert np.abs(log_arg - target).max() <= 1e-12
-    # and the normalisation E[(1/q) xi^-d Lambda-argument] = 1
-    ratios = np.exp(log_arg - ds * log_xi) / 2
-    assert abs(ratios.mean() - 1.0) <= 1e-12
+    for model in (models.sbm(2, 0.9, 3), models.sbm(3, 2.0, 4),
+                  models.kspin(1.0, K23, r=4, d=2.0)):
+        pop = SimplexPopulation.uniform_atom(model.q)
+        rng = substream(5, 0)
+        roots = rng.integers(0, model.q, size=4000)
+        _, messages = _planted_messages(model, pop, bethe.size_biased(model.kspec),
+                                        roots, rng)
+        assert messages.shape == (4000, model.q)
+        assert np.abs(messages - model.family.xi()).max() <= 1e-12
+
+
+def _lambda_form(model, pop, samples, seed):
+    """The functional in its Lambda form, E_null[X ln Z_v] - factor term:
+    tables from the prior, points from the whole population, one sample of
+    (1/q) xi^-d Z ln Z - (E[d]/(xi E[k])) (k-1) mix ln mix per row."""
+    rng = substream(seed, 0)
+    family, xi = model.family, model.family.xi()
+
+    def contract(klaw, count, open_slots):
+        ks = klaw.sample(rng, count)
+        tables = np.zeros(count, dtype=np.int64)
+        for k in np.unique(ks).tolist():
+            rows = ks == k
+            tables[rows] = rng.choice(len(family.masses[k]), size=rows.sum(),
+                                      p=family.masses[k])
+        points = pop.points[rng.integers(0, pop.size, size=(count, ks.max()))]
+        hs = (rng.random(count) * ks).astype(np.int64) if open_slots else None
+        return ks, family.contract(ks, tables, points, hs)
+
+    ds = model.dspec.sample(rng, samples)
+    _, messages = contract(bethe.size_biased(model.kspec), int(ds.sum()), True)
+    z = np.exp(bethe._log_products(messages, ds)).sum(axis=1)
+    ks, mix = contract(model.kspec, samples, False)
+    vals = (z * np.log(z) / (model.q * xi ** ds) - model.dspec.mean
+            / (xi * model.kspec.mean) * (ks - 1) * mix * np.log(mix))
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(samples)
+
+
+@pytest.mark.parametrize("name", ["sbm", "ldgm"])
+def test_planted_form_matches_lambda_form(name):
+    # E_null[X ln Z] = E_tilted[ln Z] with X = Z / (q xi^d), on a population
+    # that population dynamics has brought to the Nishimori line
+    model = {"sbm": models.sbm(2, 3.0, 3),
+             "ldgm": models.ldgm(0.1, DegreeSpec.constant(6), DegreeSpec.constant(3))}[name]
+    pop = bethe.population_dynamics(model, 2000, 100, "planted-polarized", seed=0)
+    planted = bethe.bethe_estimate(pop, model, samples=100_000, seed=1)
+    value, stderr = _lambda_form(model, pop, 100_000, 2)
+    assert planted.value - bethe.bethe_uniform_atom(model) > 3 * planted.stderr
+    assert abs(planted.value - value) <= 3 * math.hypot(planted.stderr, stderr)
+
+
+def test_estimate_at_informed_ldgm_population_matches_closed_form():
+    # every point sits on the corner of its colour, so a planted factor's
+    # open-slot message is its table at the planted tuple with the root spin
+    # swapped in: a good check (2 - 2 eta) w.p. 1 - eta, a bad one (2 eta)
+    # w.p. eta, and flipping the root swaps the two values; then
+    # Z_v = a^good b^bad + b^good a^bad and mix is the table at the tuple
+    eta = 0.1
+    model = models.ldgm(eta, DegreeSpec.constant(6), K23)
+    a, b = 2 - 2 * eta, 2 * eta
+    pop = SimplexPopulation(np.eye(2)[np.arange(200) % 2])
+    est = bethe.bethe_estimate(pop, model, samples=40_000, seed=3)
+    d = 6
+    log_z = sum(math.comb(d, bad) * eta ** bad * (1 - eta) ** (d - bad)
+                * math.log(a ** (d - bad) * b ** bad + b ** (d - bad) * a ** bad)
+                for bad in range(d + 1))
+    mean_log_mix = (1 - eta) * math.log(a) + eta * math.log(b)
+    k_minus_one = sum(p * (k - 1) for k, p in zip(K23.support, K23.mass))
+    closed = log_z - d / K23.mean * k_minus_one * mean_log_mix
+    assert abs(est.value - closed) <= 3 * est.stderr
+
+
+def test_rooted_cdf_is_the_conditional_planted_law():
+    # block (h, s) of the rooted CDF steps through (table, other slots) with
+    # probability P(psi) psi(tau) / sum, given tau_h = s
+    rng = substream(9, 0)
+    q, k = 3, 3
+    fam = WeightFamily(q=q, tables={k: tuple(rng.uniform(0.2, 2.0, (q,) * k)
+                                             for _ in range(2))},
+                       masses={k: np.array([0.3, 0.7])})
+    form = fam.compiled.arity[k]
+    blocks = form.rooted_cdf.reshape(k * q, -1) - 2.0 * np.arange(k * q)[:, None]
+    assert np.all(blocks[:, -1] == 1.0)
+    steps = np.diff(blocks, axis=1, prepend=0.0).ravel()
+    rest = q ** (k - 1)
+    for pick, step in enumerate(steps):
+        h, s = divmod(pick // (2 * rest), q)
+        table = pick // rest % 2
+        tau = list(form.other_colours[pick % rest])
+        tau.insert(h, s)
+        weights = fam.masses[k][:, None] * np.stack(
+            [np.take(t, s, axis=h).ravel() for t in fam.tables[k]])
+        expected = fam.masses[k][table] * fam.tables[k][table][tuple(tau)] / weights.sum()
+        assert step == pytest.approx(expected, abs=1e-12)
+
+
+def test_population_draws_points_of_the_asked_colour():
+    rng = substream(4, 0)
+    # 11 points: colours 0 and 1 have four members, colour 2 has three
+    pts = rng.dirichlet([1.0] * 3, size=11)
+    pop = SimplexPopulation(pts)
+    asked = rng.integers(0, 3, size=3000)
+    drawn = pop.draw(rng, asked)
+    index = np.array([int(np.flatnonzero((pts == row).all(axis=1))[0]) for row in drawn])
+    assert np.array_equal(index % 3, asked)
+    assert set(index.tolist()) == set(range(11))
+    with pytest.raises(ValueError):
+        SimplexPopulation(pts[:2])
+
+
+def test_planted_draw_refuses_a_family_without_sym():
+    # the rooted draw is the planted law only when every (slot, spin) block
+    # has the same normaliser, so a non-constant marginal sum must raise
+    fam = WeightFamily(q=2, tables={2: (np.array([[1.0, 2.0], [3.0, 4.0]]),)},
+                       masses={2: np.array([1.0])})
+    model = ModelSpec(name="asym", q=2, dspec=D2, kspec=K2, family=fam)
+    with pytest.raises(SymViolation):
+        bethe.bethe_estimate(SimplexPopulation.uniform_atom(2), model, samples=100)
+    with pytest.raises(SymViolation):
+        bethe.population_dynamics(model, pop_size=100, iters=1)
+
+
+def test_ldgm_mutual_information_at_most_log_two():
+    # Montanari's code family at low noise: 0 <= MI <= ln 2 within 3 SE
+    for eta in (0.05, 0.1):
+        model = models.ldgm(eta, DegreeSpec.constant(6), DegreeSpec.constant(3))
+        mi = bethe.mutual_information(model, seed=0, pop_size=2000, sweeps=100,
+                                      samples=20_000)
+        assert -3 * mi.stderr <= mi.value <= math.log(2) + 3 * mi.stderr
+        assert mi.sup.tag == "pd-planted-polarized"
 
 
 def test_estimate_invariant_under_joint_relabeling():
@@ -113,7 +235,10 @@ def test_estimate_invariant_under_joint_relabeling():
     rng = substream(7, 0)
     pts = rng.dirichlet([1.0] * 3, size=300)
     pop = SimplexPopulation(pts)
-    pop_perm = SimplexPopulation(pts[:, perm])
+    # the relabeled point puts old spin perm[s] at s, so colour c becomes
+    # perm^-1(c); row i takes the point of colour perm[i mod 3] to keep colour i mod 3
+    rows = np.arange(300)
+    pop_perm = SimplexPopulation(pts[rows - rows % 3 + np.array(perm)[rows % 3]][:, perm])
     a = bethe.bethe_estimate(pop, model, samples=40_000, seed=11)
     b = bethe.bethe_estimate(pop_perm, flipped, samples=40_000, seed=12)
     assert abs(a.value - b.value) <= 3 * math.hypot(a.stderr, b.stderr)
@@ -172,7 +297,7 @@ def test_dynamics_preserves_simplex(beta, seed, init):
 
 def test_sup_constant_weights_is_annealed():
     model = _flat_model()
-    sup = bethe.sup_bethe(model, restarts=1, seed=0, pop_size=150, sweeps=5,
+    sup = bethe.sup_bethe(model, seed=0, pop_size=150, sweeps=5,
                           samples=4000)
     assert sup.tag == "uniform-atom"
     assert sup.value == pytest.approx(bethe.annealed_free_entropy(model), abs=1e-12)
@@ -181,14 +306,14 @@ def test_sup_constant_weights_is_annealed():
 
 def test_sup_useless_channel_is_log_two():
     model = models.ldgm(0.5, D2, K2)
-    sup = bethe.sup_bethe(model, restarts=1, seed=0, pop_size=150, sweeps=5,
+    sup = bethe.sup_bethe(model, seed=0, pop_size=150, sweeps=5,
                           samples=4000)
     assert sup.value == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_sup_includes_uniform_candidate():
     model = models.sbm(2, 1.0, 3)
-    sup = bethe.sup_bethe(model, restarts=1, seed=3, pop_size=200, sweeps=10,
+    sup = bethe.sup_bethe(model, seed=3, pop_size=200, sweeps=10,
                           samples=4000)
     assert sup.value >= bethe.bethe_uniform_atom(model) - 3 * sup.stderr
     assert "uniform-atom" in sup.candidates
@@ -196,7 +321,7 @@ def test_sup_includes_uniform_candidate():
 
 def test_sup_exceeds_annealed_above_condensation():
     model = models.sbm(2, 3.0, 3)
-    sup = bethe.sup_bethe(model, restarts=1, seed=5, pop_size=1000, sweeps=60,
+    sup = bethe.sup_bethe(model, seed=5, pop_size=1000, sweeps=60,
                           samples=20_000)
     assert sup.value - bethe.annealed_free_entropy(model) > 3 * sup.stderr
     assert sup.tag.startswith("pd-")
@@ -205,7 +330,7 @@ def test_sup_exceeds_annealed_above_condensation():
 def test_mutual_information_nonnegative():
     for model, seed in ((models.ldgm(0.3, D2, K2), 0),
                         (models.sbm(2, 0.5, 3), 1)):
-        mi = bethe.mutual_information(model, restarts=1, seed=seed, pop_size=300,
+        mi = bethe.mutual_information(model, seed=seed, pop_size=300,
                                       sweeps=20, samples=8000, pos_trials=60)
         assert mi.value >= -3 * mi.stderr
 
@@ -215,19 +340,19 @@ def test_mutual_information_rejects_assortative():
 
     model = models.sbm(2, 1.0, 3, assortative=True)
     with pytest.raises(AssumptionViolation):
-        bethe.mutual_information(model, restarts=1, seed=0, pop_size=150,
+        bethe.mutual_information(model, seed=0, pop_size=150,
                                  sweeps=5, samples=2000, pos_trials=4000)
 
 
 def test_mutual_information_constant_weights_zero():
-    mi = bethe.mutual_information(_flat_model(1.3), restarts=1, seed=0,
+    mi = bethe.mutual_information(_flat_model(1.3), seed=0,
                                   pop_size=150, sweeps=5, samples=2000,
                                   pos_trials=30)
     assert abs(mi.value) <= 1e-12
 
 
 def test_mutual_information_float_protocol():
-    mi = bethe.mutual_information(models.ldgm(0.5, D2, K2), restarts=1, seed=0,
+    mi = bethe.mutual_information(models.ldgm(0.5, D2, K2), seed=0,
                                   pop_size=150, sweeps=5, samples=2000,
                                   pos_trials=30)
     assert float(mi) == mi.value == pytest.approx(0.0, abs=1e-10)
@@ -243,7 +368,7 @@ def test_scan_no_crossing_at_zero_coupling():
         return models.sbm(2, beta, 3)
 
     with pytest.raises(NoCrossing) as err:
-        bethe.threshold_scan(family, [0.0, 0.1, 0.2], seed=0, restarts=1,
+        bethe.threshold_scan(family, [0.0, 0.1, 0.2], seed=0,
                              pop_size=150, sweeps=10, samples=3000)
     assert len(err.value.rows) == 3
 
@@ -254,7 +379,7 @@ def test_scan_no_crossing_useless_channel():
         return models.ldgm(0.5, DegreeSpec.constant(int(2 * ratio)), K2)
 
     with pytest.raises(NoCrossing):
-        bethe.threshold_scan(family, [1, 2, 3], seed=0, restarts=1,
+        bethe.threshold_scan(family, [1, 2, 3], seed=0,
                              pop_size=150, sweeps=5, samples=3000)
 
 
@@ -262,9 +387,9 @@ def test_scan_brackets_sbm_condensation():
     def family(beta):
         return models.sbm(2, beta, 3)
 
-    scan = bethe.threshold_scan(family, [0.5, 1.5, 2.5, 3.5], seed=1, restarts=1,
+    scan = bethe.threshold_scan(family, [0.5, 1.5, 2.5, 3.5], seed=1,
                                 pop_size=800, sweeps=50, samples=15_000)
-    assert scan.bracket in (((1.5, 2.5)), ((2.5, 3.5)))
+    assert scan.bracket == (1.5, 2.5)
     lo, hi = scan.bracket
     grid = [0.5, 1.5, 2.5, 3.5]
     assert grid.index(hi) - grid.index(lo) == 1
@@ -279,7 +404,7 @@ def test_scan_requires_sorted_grid():
 def test_lrc_bracket_reproducible_across_seeds():
     brackets = []
     for seed in (0, 1):
-        scan = models.lrc_threshold(1.5, K2, [0.5, 1.0, 4.0], seed, restarts=1,
+        scan = models.lrc_threshold(1.5, K2, [0.5, 1.0, 4.0], seed,
                                     pop_size=1000, sweeps=50, samples=20_000)
         brackets.append(scan.bracket)
     assert brackets[0] == brackets[1]
@@ -293,36 +418,38 @@ def test_lrc_bracket_reproducible_across_seeds():
 
 # (model, init) -> (sum of the first spin column, first two points,
 # estimate value, estimate stderr) for 5 sweeps of 200 points, seed 3,
-# and a 3000-sample estimate, seed 4
+# and a 3000-sample estimate, seed 4; recorded with the planted-tree draw
 _SEEDED_PD = {
     ("ldgm", "uniform-perturbed"): (
-        100.0, [[0.5, 0.5], [0.5, 0.5]],
+        100.0,
+        [[0.5, 0.5],
+         [0.5, 0.5]],
         0.6931471805599454, 2.0273185627517274e-18),
     ("ldgm", "planted-polarized"): (
-        99.99999335021278,
-        [[0.5000015250616059, 0.49999847493839406],
-         [0.5000017384193273, 0.4999982615806728]],
-        0.6931471805599454, 1.2179331749030557e-17),
+        99.99773742459702,
+        [[0.5002963972517358, 0.49970360274826425],
+         [0.49995247560002337, 0.5000475243999766]],
+        0.6931471805549919, 5.400002351875681e-12),
     ("kspin", "uniform-perturbed"): (
-        100.09495647649594,
-        [[0.5002203964862737, 0.49977960351372624],
-         [0.4946751397750602, 0.5053248602249398]],
-        0.6931485966952782, 1.1553858494175432e-06),
+        99.99327905098306,
+        [[0.49999999999964495, 0.500000000000355],
+         [0.49999999967560405, 0.500000000324396]],
+        0.6931471336468841, 3.582970074201852e-07),
     ("kspin", "planted-polarized"): (
-        99.31705674752705,
-        [[0.314098506905367, 0.685901493094633],
-         [0.6873301642230709, 0.31266983577692903]],
-        0.6933108045186195, 0.0004280557552450173),
+        98.35490403506164,
+        [[0.5404433506325921, 0.45955664936740787],
+         [0.4522344347982735, 0.5477655652017264]],
+        0.6927213269007294, 0.0005323801339300072),
     ("sbm", "uniform-perturbed"): (
-        66.33875175285431,
-        [[0.3270940020486813, 0.342245586349428, 0.33066041160189064],
-         [0.30434121388523006, 0.3342647106532782, 0.3613940754614917]],
-        0.18556076713932862, 4.977481100080424e-05),
+        60.26923215361188,
+        [[0.2931125303960204, 0.4279251653832822, 0.2789623042206975],
+         [0.2969533843592267, 0.4663024592141847, 0.23674415642658855]],
+        0.36904125682640876, 0.00034241999722092113),
     ("sbm", "planted-polarized"): (
-        98.24961335194376,
-        [[0.22434593495785354, 0.06311438602760605, 0.7125396790145404],
-         [0.4934281880764171, 0.11316512735155904, 0.3934066845720238]],
-        0.9752561980679828, 0.003045838558873531),
+        38.790780003539936,
+        [[0.4651433590492326, 0.13787888840877657, 0.39697775254199075],
+         [0.12031500258540609, 0.5110465733933269, 0.36863842402126706]],
+        0.4781965643183445, 0.008299478817623315),
 }
 
 # model -> (sum of the first spin column of the BP marginals, marginals of

@@ -94,7 +94,7 @@ def test_bp_command(tmp_path):
 
 def test_bethe_command(tmp_path):
     rc = run_cli(["bethe", "--model", "ldgm", "--eta", "0.5", "--dspec", "2",
-                  "--kspec", "2", "--restarts", "1", "--pop-size", "150",
+                  "--kspec", "2", "--pop-size", "150",
                   "--sweeps", "5", "--samples", "2000",
                   "--out", str(tmp_path / "b")])
     assert rc == 0
@@ -108,7 +108,7 @@ def _mi_scan_config(tmp_path):
         "model": {"name": "ldgm", "dspec": 2, "kspec": 2},
         "grid": {"param": "eta", "values": [0.35, 0.5]},
         "seed": 11,
-        "budget": {"restarts": 1, "pop_size": 150, "sweeps": 5,
+        "budget": {"pop_size": 150, "sweeps": 5,
                    "samples": 2000, "pos_trials": 30},
     }
     path = tmp_path / "scan.yaml"
@@ -149,7 +149,7 @@ def test_threshold_command_no_crossing(tmp_path):
         "model": {"name": "sbm", "q": 2, "d": 3},
         "grid": {"param": "beta", "values": [0.0, 0.2]},
         "seed": 3,
-        "budget": {"restarts": 1, "pop_size": 150, "sweeps": 5, "samples": 2000},
+        "budget": {"pop_size": 150, "sweeps": 5, "samples": 2000},
     }
     path = tmp_path / "th.yaml"
     path.write_text(yaml.safe_dump(cfg))
@@ -166,7 +166,7 @@ def test_threshold_command_finds_crossing(tmp_path):
         "model": {"name": "sbm", "q": 2, "d": 3},
         "grid": {"param": "beta", "values": [0.5, 3.5]},
         "seed": 3,
-        "budget": {"restarts": 1, "pop_size": 600, "sweeps": 40, "samples": 8000},
+        "budget": {"pop_size": 600, "sweeps": 40, "samples": 8000},
     }
     path = tmp_path / "th.yaml"
     path.write_text(yaml.safe_dump(cfg))
@@ -191,3 +191,15 @@ def test_config_validation_errors(tmp_path):
     path.write_text(yaml.safe_dump(cfg))
     rc = run_cli(["mi-scan", "--config", str(path)])
     assert rc == 2
+
+
+def test_config_rejects_unknown_budget_keys():
+    from factorcavity.errors import ConfigError
+
+    config = cli.ExperimentConfig(operation="mi-scan", model={"name": "ldgm"},
+                              grid_param="eta", grid_values=[0.1],
+                              budget={"restarts": 2, "pop_size": 200})
+    with pytest.raises(ConfigError, match="restarts"):
+        config.validate()
+    config.budget = {"pop_size": 200, "sweeps": 5, "samples": 100, "pos_trials": 10}
+    assert config.validate() is config

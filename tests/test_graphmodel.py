@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,23 @@ def test_poisson_spec_truncates_and_renormalises():
     tight = DegreeSpec.poisson(10.0, max_support=12)
     assert tight.max_value == 12
     assert tight.truncated_mass > 1e-3
+
+
+def test_degree_spec_rejects_nan_masses():
+    # NaN compares false both with 0 and with the 1e-12 sum tolerance
+    for mass in ((math.nan,), (math.nan, 1.0), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            DegreeSpec(tuple(range(1, len(mass) + 1)), mass)
+
+
+def test_poisson_spec_rejects_mean_far_above_cap():
+    # every kept pmf term underflows to zero, so no law remains to normalise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="poisson mean 1000"):
+            DegreeSpec.poisson(1000)
+        with pytest.raises(ValueError):
+            DegreeSpec.poisson(1e6, max_support=10)
 
 
 @pytest.mark.parametrize("mean, max_support",

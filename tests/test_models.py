@@ -240,5 +240,5 @@ def test_lrc_no_crossing_near_zero_coupling():
     from factorcavity.errors import NoCrossing
 
     with pytest.raises(NoCrossing):
-        models.lrc_threshold(0.05, K2, [0.5, 1.0], seed=0, restarts=1,
+        models.lrc_threshold(0.05, K2, [0.5, 1.0], seed=0,
                              pop_size=150, sweeps=10, samples=3000)
