@@ -8,6 +8,7 @@ integrands make "within 3 SE" degenerate at machine precision).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -217,12 +218,9 @@ def random_tree_graph(model, n_target: int, seed: int) -> FactorGraph:
         factor_vars.append((root, *fresh))
         table_ids.append(int(rng.choice(model.family.n_tables(k),
                                         p=model.family.masses[k])))
-    deg = np.zeros(n, dtype=np.int64)
-    for fv in factor_vars:
-        for v in fv:
-            deg[v] += 1
-    return FactorGraph(family=model.family, var_degrees=tuple(deg),
-                       factor_vars=tuple(factor_vars), factor_tables=tuple(table_ids))
+    ends = np.fromiter(itertools.chain.from_iterable(factor_vars), dtype=np.int64)
+    return FactorGraph(family=model.family, var_degrees=np.bincount(ends, minlength=n),
+                       factor_vars=factor_vars, factor_tables=table_ids)
 
 
 @_timed

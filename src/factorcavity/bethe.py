@@ -24,11 +24,15 @@ from .errors import (AssumptionViolation, NoCrossing, NumericalUnderflow,
 from .graphmodel import DegreeSpec
 from .rng import substream
 
-DEFAULT_POPULATION = 10_000
-DEFAULT_SWEEPS = 200
-DEFAULT_SAMPLES = 100_000
+# the desk budget: every caller that does not set its own reads these
+DEFAULT_POPULATION = 2000
+DEFAULT_SWEEPS = 100
+DEFAULT_SAMPLES = 20_000
+DEFAULT_POS_TRIALS = 200
 
 _CHUNK = 1 << 13
+# population points rewritten per population-dynamics batch
+_BATCH = 256
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +271,7 @@ def _initial_population(colours: np.ndarray, q: int, init: str,
 
 def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
                         iters: int = DEFAULT_SWEEPS,
-                        init: str = "uniform-perturbed", seed: int = 0,
-                        *, batch: int = 256) -> SimplexPopulation:
+                        init: str = "uniform-perturbed", seed: int = 0) -> SimplexPopulation:
     """Iterate the planted distributional update on a colour-labelled population.
 
     Point i has the fixed colour i mod q.  One sweep replaces every point
@@ -288,8 +291,8 @@ def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
     khat = size_biased(model.kspec)
     for sweep in range(iters):
         order = rng.permutation(pop_size)
-        for start in range(0, pop_size, batch):
-            targets = order[start:start + batch]
+        for start in range(0, pop_size, _BATCH):
+            targets = order[start:start + _BATCH]
             dstar = excess.sample(rng, len(targets))
             roots = np.repeat(colours[targets], dstar)
             _, messages = _planted_messages(model, pop, khat, roots, rng)
@@ -340,7 +343,7 @@ def sup_bethe(model, seed: int = 0, *,
 
 
 def mutual_information(model, seed: int = 0, *,
-                       waive_pos: bool = False, pos_trials: int = 200,
+                       waive_pos: bool = False, pos_trials: int = DEFAULT_POS_TRIALS,
                        pop_size: int = DEFAULT_POPULATION,
                        sweeps: int = DEFAULT_SWEEPS,
                        samples: int = DEFAULT_SAMPLES) -> MIResult:
@@ -394,8 +397,8 @@ class ScanResult:
 def threshold_scan(model_family: Callable[[float], object], param_grid: Sequence[float],
                    comparator: Union[str, float, Callable] = "annealed",
                    *, seed: int = 0,
-                   pop_size: int = 2000, sweeps: int = 100,
-                   samples: int = 20_000) -> ScanResult:
+                   pop_size: int = DEFAULT_POPULATION, sweeps: int = DEFAULT_SWEEPS,
+                   samples: int = DEFAULT_SAMPLES) -> ScanResult:
     """Walk a sorted grid until the functional exceeds its comparator by 3 SE.
 
     Returns the first crossing with a one-grid-step bracket; raises

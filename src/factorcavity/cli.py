@@ -29,6 +29,7 @@ from .rng import substream
 
 WORKER_ENV = "FACTORCAVITY_WORKERS"
 _BUDGET_KEYS = ("pop_size", "sweeps", "samples", "pos_trials")
+_CONFIG_KEYS = ("model", "grid", "seed", "budget", "comparator", "workers")
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +49,6 @@ class ExperimentConfig:
     budget: dict = field(default_factory=dict)
     comparator: object = "annealed"
     workers: int = 1
-    out: Optional[str] = None
 
     def validate(self):
         if not self.grid_values:
@@ -68,6 +68,9 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, operation: str) -> "ExperimentConfig":
         raw = io.load_config(path)
+        unknown = sorted(map(str, set(raw) - set(_CONFIG_KEYS)))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; known: {list(_CONFIG_KEYS)}")
         grid = raw.get("grid", {})
         return cls(
             operation=operation,
@@ -78,7 +81,6 @@ class ExperimentConfig:
             budget=dict(raw.get("budget", {})),
             comparator=raw.get("comparator", "annealed"),
             workers=int(raw.get("workers", 1)),
-            out=raw.get("out"),
         ).validate()
 
 
@@ -97,10 +99,10 @@ def _mi_point(payload):
     result = bethe.mutual_information(
         model,
         seed=child,
-        pop_size=int(budget.get("pop_size", 2000)),
-        sweeps=int(budget.get("sweeps", 100)),
-        samples=int(budget.get("samples", 20_000)),
-        pos_trials=int(budget.get("pos_trials", 200)),
+        pop_size=int(budget.get("pop_size", bethe.DEFAULT_POPULATION)),
+        sweeps=int(budget.get("sweeps", bethe.DEFAULT_SWEEPS)),
+        samples=int(budget.get("samples", bethe.DEFAULT_SAMPLES)),
+        pos_trials=int(budget.get("pos_trials", bethe.DEFAULT_POS_TRIALS)),
     )
     return (value, result.value, result.stderr, result.information_term,
             result.sup.value, result.sup.stderr, result.sup.tag)
@@ -124,9 +126,9 @@ def run_threshold(config: ExperimentConfig):
         config.grid_values,
         comparator=config.comparator,
         seed=config.seed,
-        pop_size=int(budget.get("pop_size", 2000)),
-        sweeps=int(budget.get("sweeps", 100)),
-        samples=int(budget.get("samples", 20_000)),
+        pop_size=int(budget.get("pop_size", bethe.DEFAULT_POPULATION)),
+        sweeps=int(budget.get("sweeps", bethe.DEFAULT_SWEEPS)),
+        samples=int(budget.get("samples", bethe.DEFAULT_SAMPLES)),
     )
     return scan
 
@@ -481,9 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bethe", help="annealed value and heuristic supremum")
     common(p)
-    p.add_argument("--pop-size", type=int, default=2000, dest="pop_size")
-    p.add_argument("--sweeps", type=int, default=100)
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--pop-size", type=int, default=bethe.DEFAULT_POPULATION, dest="pop_size")
+    p.add_argument("--sweeps", type=int, default=bethe.DEFAULT_SWEEPS)
+    p.add_argument("--samples", type=int, default=bethe.DEFAULT_SAMPLES)
     p.set_defaults(fn=cmd_bethe)
 
     p = sub.add_parser("mi-scan", help="mutual information over a parameter grid")

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CapExceeded
-from .graphmodel import (DegreeSequence, FactorGraph, WeightFamily,
+from .graphmodel import (DegreeSequence, FactorGraph, WeightFamily, _split,
                          sample_degree_sequence, sample_planted,
                          uniform_assignment)
 from .rng import substream
@@ -68,6 +68,19 @@ def _state_digits(q: int, n: int, idx: np.ndarray) -> np.ndarray:
     return (idx[:, None] // q ** np.arange(n - 1, -1, -1, dtype=np.int64)) % q
 
 
+def _factor_slots(g: FactorGraph):
+    """Per-factor arity and table id, and the edge on each factor slot.
+
+    The slot matrix is (m, max arity); entries past a factor's arity repeat
+    a valid edge and are never read.
+    """
+    ks = g.arities
+    start = np.cumsum(ks) - ks
+    last_edge = max(int(ks.sum()) - 1, 0)
+    slots = np.minimum(start[:, None] + np.arange(ks.max(initial=0)), last_edge)
+    return ks, np.asarray(g.factor_tables, dtype=np.int64), slots
+
+
 def _log_weight_blocks(g: FactorGraph, cap: int):
     """Log weights of all states in lexicographic order, in blocks of the q^L
     states that share their n - L leading digits.  Flat table indices are
@@ -89,12 +102,12 @@ def _log_weight_blocks(g: FactorGraph, cap: int):
             flat = flat * q + digits[variables[:, slot]]
         return flat
 
-    arity = np.array([len(fv) for fv in g.factor_vars], dtype=np.int64)
+    ks, table_ids, slots = _factor_slots(g)
     pins = np.array(g.pins, dtype=np.int64).reshape(-1, 2)
     unary = np.where(np.eye(q, dtype=bool), 0.0, -np.inf).ravel()
-    groups = [(np.array([fv for fv in g.factor_vars if len(fv) == k]),
-               np.array(g.factor_tables, dtype=np.int64)[arity == k],
-               np.log(g.family.compiled.arity[k].flat).ravel()) for k in np.unique(arity).tolist()]
+    groups = [(g.edge_vars[slots[ks == k, :k]], table_ids[ks == k],
+               np.log(g.family.compiled.arity[k].flat).ravel())
+              for k in np.flatnonzero(np.bincount(ks)).tolist()]
     # factors on trailing digits only are summed once, the rest in every block
     base, per_block = np.zeros(q ** low), []
     for variables, tables, log_tables in groups + [(pins[:, :1], pins[:, 1], unary)]:
@@ -206,23 +219,16 @@ def iter_slot_maps(seq: DegreeSequence, *, cap: int = PAIRING_TERM_CAP):
     where T is the total variable degree and S the total factor degree.
     """
     d = list(seq.var_degrees)
-    arities = list(seq.factor_arities)
-    slots = [(j, s) for j, k in enumerate(arities) for s in range(k)]
     total = seq.total_var_degree
     emitted = 0
 
     def rec(i, remaining, free, prob, current):
         nonlocal emitted
-        if i == len(slots):
+        if i == seq.total_factor_degree:
             emitted += 1
             if emitted > cap:
                 raise CapExceeded("pairing enumeration", emitted, cap)
-            fixed = []
-            pos = 0
-            for k in arities:
-                fixed.append(tuple(current[pos:pos + k]))
-                pos += k
-            yield tuple(fixed), prob
+            yield _split(current, seq.factor_arities), prob
             return
         for v in range(len(d)):
             if remaining[v] == 0:
@@ -247,8 +253,7 @@ def expected_weight(seq: DegreeSequence, family: WeightFamily, sigma,
     """
     sigma = np.asarray(sigma, dtype=np.int64)
     q = family.q
-    d = np.asarray(seq.var_degrees)
-    h = np.bincount(sigma, weights=d, minlength=q).astype(np.int64)
+    h = np.bincount(sigma, weights=seq.degrees, minlength=q).astype(np.int64)
     total = seq.total_var_degree
     s_total = seq.total_factor_degree
 
@@ -534,25 +539,6 @@ class BPState:
     converged: bool
 
 
-def _edge_vars(g: FactorGraph) -> np.ndarray:
-    """Each clone edge's variable; edges are numbered factor by factor, slot
-    by slot."""
-    return np.array([v for fv in g.factor_vars for v in fv], dtype=np.int64)
-
-
-def _factor_slots(g: FactorGraph):
-    """Per-factor arity and table id, and the edge on each factor slot.
-
-    The slot matrix is (m, max arity); entries past a factor's arity repeat
-    a valid edge and are never read.
-    """
-    ks = np.array([len(fv) for fv in g.factor_vars], dtype=np.int64)
-    start = np.cumsum(ks) - ks
-    last_edge = max(int(ks.sum()) - 1, 0)
-    slots = np.minimum(start[:, None] + np.arange(ks.max(initial=0)), last_edge)
-    return ks, np.asarray(g.factor_tables, dtype=np.int64), slots
-
-
 def _pin_fields(g: FactorGraph) -> np.ndarray:
     fields = np.ones((g.n, g.q))
     for v, s in g.pins:
@@ -586,7 +572,7 @@ def bp_run(g: FactorGraph, max_iters: int = 1000, damping: float = 0.5,
     """
     if not 0 <= damping < 1:
         raise ValueError("damping must be in [0, 1)")
-    edge_var = _edge_vars(g)
+    edge_var = g.edge_vars
     n_edges = len(edge_var)
     q = g.q
     log_fields = np.where(_pin_fields(g) > 0, 0.0, -np.inf)[edge_var]
@@ -635,7 +621,7 @@ def _beliefs(state: BPState) -> np.ndarray:
     """Unnormalised beliefs: each pin field times the variable's incoming messages."""
     g = state.graph
     beliefs = _pin_fields(g)
-    np.multiply.at(beliefs, _edge_vars(g), state.fac_to_var)
+    np.multiply.at(beliefs, g.edge_vars, state.fac_to_var)
     return beliefs
 
 

@@ -45,12 +45,15 @@ class DegreeSpec:
 
     ``support`` and ``mass`` are parallel tuples; masses are nonnegative and
     sum to one within 1e-12.  ``truncated_mass`` records probability removed
-    by the truncate-and-renormalise constructors.
+    by the truncate-and-renormalise constructors.  ``values`` (int64) and
+    ``cdf`` are the array form :meth:`sample` reads, built once.
     """
 
     support: tuple
     mass: tuple
     truncated_mass: float = 0.0
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         support = tuple(int(v) for v in self.support)
@@ -67,8 +70,14 @@ class DegreeSpec:
             raise ValueError("masses must be finite and nonnegative")
         if abs(sum(mass) - 1.0) > 1e-12:
             raise ValueError("masses must sum to 1 within 1e-12")
+        # the CDF Generator.choice(p=mass) builds, so draws keep its stream
+        cdf = np.cumsum(mass)
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "values", _frozen_ints(support))
+        object.__setattr__(self, "cdf", cdf)
 
     @classmethod
     def constant(cls, value: int) -> "DegreeSpec":
@@ -107,8 +116,9 @@ class DegreeSpec:
         if not kept.sum() > 0:
             raise ValueError(f"poisson mean {mean} leaves no representable mass "
                              f"on the support 0..{cut}")
+        # tail / (tail + kept) is P(X > cut) and cannot round above one
         return cls(tuple(range(cut + 1)), tuple(kept / kept.sum()),
-                   truncated_mass=float(sf[cut]))
+                   truncated_mass=float(sf[cut] / (sf[cut] + kept.sum())))
 
     @cached_property
     def mean(self) -> float:
@@ -123,9 +133,10 @@ class DegreeSpec:
         return max(self.support)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` iid draws, bit for bit ``rng.choice(support, size, p=mass)``."""
         if size == 0:
             return np.zeros(0, dtype=np.int64)
-        return rng.choice(np.asarray(self.support), size=size, p=np.asarray(self.mass))
+        return self.values[self.cdf.searchsorted(rng.random(size), side="right")]
 
     def pmf(self, value: int) -> float:
         try:
@@ -140,15 +151,26 @@ class DegreeSequence:
 
     The balanced variant has matching totals; the pruned variant leaves
     ``cavity_count`` variable clones without a factor-side partner.
+    ``degrees`` and ``arities`` are the int64 arrays of the two tuples.
     """
 
     var_degrees: tuple
     factor_arities: tuple
     rejections: int = 0
+    degrees: np.ndarray = field(init=False, repr=False, compare=False)
+    arities: np.ndarray = field(init=False, repr=False, compare=False)
+    total_var_degree: int = field(init=False, repr=False, compare=False)
+    total_factor_degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "var_degrees", tuple(int(v) for v in self.var_degrees))
-        object.__setattr__(self, "factor_arities", tuple(int(v) for v in self.factor_arities))
+        degrees = _frozen_ints(self.var_degrees)
+        arities = _frozen_ints(self.factor_arities)
+        object.__setattr__(self, "var_degrees", tuple(degrees.tolist()))
+        object.__setattr__(self, "factor_arities", tuple(arities.tolist()))
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "arities", arities)
+        object.__setattr__(self, "total_var_degree", int(degrees.sum()))
+        object.__setattr__(self, "total_factor_degree", int(arities.sum()))
         if self.total_var_degree < self.total_factor_degree:
             raise ValueError("total variable degree must cover the factor side")
 
@@ -159,14 +181,6 @@ class DegreeSequence:
     @property
     def m(self) -> int:
         return len(self.factor_arities)
-
-    @property
-    def total_var_degree(self) -> int:
-        return sum(self.var_degrees)
-
-    @property
-    def total_factor_degree(self) -> int:
-        return sum(self.factor_arities)
 
     @property
     def cavity_count(self) -> int:
@@ -424,6 +438,13 @@ def _int_tuple(values) -> tuple:
     return tuple(np.asarray(values, dtype=np.int64).tolist())
 
 
+def _frozen_ints(values) -> np.ndarray:
+    """A read-only int64 copy of ``values``."""
+    out = np.array(values, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 def _split(values: list, sizes: Sequence[int]) -> tuple:
     """Consecutive runs of ``values`` with the given lengths, as tuples."""
     return tuple(tuple(values[e - k:e]) for e, k in zip(itertools.accumulate(sizes), sizes))
@@ -442,18 +463,20 @@ class FactorGraph:
 
     ``factor_vars[j]`` is the ordered tuple of variable ids on factor j's
     slots; ``factor_tables[j]`` indexes the family's tables at that arity.
-    ``slot_clones`` records which clone of each variable sits on each slot,
-    so the unmatched clones (cavities) are recoverable.  ``pins`` are hard
-    unary indicator factors (variable, forced spin).
+    ``pins`` are hard unary indicator factors (variable, forced spin).
+    ``edge_vars`` is the variable on each slot, factor by factor and slot by
+    slot, and ``arities`` each factor's slot count, both int64 arrays; the
+    unmatched clones are ``var_degrees`` minus the realised degrees.
     """
 
     family: WeightFamily
     var_degrees: tuple
     factor_vars: tuple
     factor_tables: tuple
-    slot_clones: Optional[tuple] = None
     pins: tuple = ()
     meta: dict = field(default_factory=dict)
+    edge_vars: np.ndarray = field(init=False, repr=False)
+    arities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.var_degrees)
@@ -461,10 +484,13 @@ class FactorGraph:
         sizes = list(map(len, factor_vars))
         flat = np.fromiter(itertools.chain.from_iterable(factor_vars), dtype=np.int64,
                            count=sum(sizes))
+        flat.flags.writeable = False
         object.__setattr__(self, "var_degrees", _int_tuple(self.var_degrees))
         object.__setattr__(self, "factor_vars", _split(flat.tolist(), sizes))
         object.__setattr__(self, "factor_tables", _int_tuple(self.factor_tables))
         object.__setattr__(self, "pins", _checked_pins(self.pins, n, self.q))
+        object.__setattr__(self, "edge_vars", flat)
+        object.__setattr__(self, "arities", _frozen_ints(sizes))
         if len(self.factor_vars) != len(self.factor_tables):
             raise ValueError("factor tuples and table choices must be parallel")
         if flat.size and (flat.min() < 0 or flat.max() >= n):
@@ -489,11 +515,7 @@ class FactorGraph:
         return self.family.table(self.arity(j), self.factor_tables[j])
 
     def realized_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for fv in self.factor_vars:
-            for v in fv:
-                deg[v] += 1
-        return deg
+        return np.bincount(self.edge_vars, minlength=self.n)
 
     def cavity_counts(self) -> np.ndarray:
         """Unmatched clones per variable."""
@@ -545,12 +567,11 @@ class FactorGraph:
                 factor_tables.append(ti)
         if len(factor_vars) != m:
             raise ValueError("factor count does not match the header")
-        deg = np.zeros(n, dtype=np.int64)
-        for fv in factor_vars:
-            for v in fv:
-                deg[v] += 1
-        return cls(family=family, var_degrees=tuple(deg), factor_vars=tuple(factor_vars),
-                   factor_tables=tuple(factor_tables), pins=tuple(pins))
+        g = cls(family=family, var_degrees=(0,) * n, factor_vars=factor_vars,
+                factor_tables=factor_tables, pins=pins)
+        # the constructor has range-checked every neighbour against n
+        object.__setattr__(g, "var_degrees", _int_tuple(g.realized_degrees()))
+        return g
 
 
 # Assignments are plain integer arrays: spins[v] in [0, q) per variable.
@@ -594,7 +615,7 @@ def sample_degree_sequence(n: int, dspec: DegreeSpec, kspec: DegreeSpec, seed: i
         m = int(rng.poisson(scale))
         k = kspec.sample(rng, m)
         if int(d.sum()) == int(k.sum()):
-            return DegreeSequence(tuple(d), tuple(k), rejections=attempt)
+            return DegreeSequence(d, k, rejections=attempt)
     raise AttemptsExhausted("balanced degree sequence", max_attempts)
 
 
@@ -621,7 +642,7 @@ def sample_pruned_sequence(n: int, eps: float, dspec: DegreeSpec, kspec: DegreeS
         m = thinned_factor_count(n, eps, dspec, kspec, rng)
         k = kspec.sample(rng, m)
         if int(d.sum()) >= int(k.sum()):
-            return DegreeSequence(tuple(d), tuple(k), rejections=attempt)
+            return DegreeSequence(d, k, rejections=attempt)
     raise AttemptsExhausted("pruned degree sequence", max_attempts)
 
 
@@ -630,24 +651,17 @@ def sample_pruned_sequence(n: int, eps: float, dspec: DegreeSpec, kspec: DegreeS
 # ---------------------------------------------------------------------------
 
 
-def _clone_owners(var_degrees: Sequence[int]) -> np.ndarray:
-    """Variable id owning each clone, in (variable, clone) order."""
-    return np.repeat(np.arange(len(var_degrees)), np.asarray(var_degrees, dtype=np.int64))
+def _slot_vars(seq: DegreeSequence, clones: np.ndarray) -> tuple:
+    """Per-factor variable tuples of the clones placed on the slots, which
+    are listed factor by factor; clones are numbered variable by variable."""
+    owners = np.repeat(np.arange(seq.n), seq.degrees)
+    return _split(owners[clones].tolist(), seq.factor_arities)
 
 
-def _slot_tuples(seq: DegreeSequence, clones: np.ndarray):
-    """Per-factor variable tuples and clone-index tuples of the clones placed
-    on the slots, which are listed factor by factor."""
-    d = np.asarray(seq.var_degrees, dtype=np.int64)
-    index = np.arange(seq.total_var_degree) - np.repeat(np.cumsum(d) - d, d)
-    return (_split(_clone_owners(d)[clones].tolist(), seq.factor_arities),
-            _split(index[clones].tolist(), seq.factor_arities))
-
-
-def _pair_topology(seq: DegreeSequence, rng: np.random.Generator):
+def _pair_topology(seq: DegreeSequence, rng: np.random.Generator) -> tuple:
     """Uniform maximal matching of variable clones onto factor slots."""
     order = rng.permutation(seq.total_var_degree)
-    return _slot_tuples(seq, order[:seq.total_factor_degree])
+    return _slot_vars(seq, order[:seq.total_factor_degree])
 
 
 def pair_uniform(seq: DegreeSequence, seed: int, *, q: int = 2,
@@ -660,10 +674,9 @@ def pair_uniform(seq: DegreeSequence, seed: int, *, q: int = 2,
     family = WeightFamily.constant(q, sorted(set(seq.factor_arities)) or [1])
     rng = substream(seed, 1)
     for _ in range(max_attempts if simple_only else 1):
-        factor_vars, slot_clones = _pair_topology(seq, rng)
         g = FactorGraph(family=family, var_degrees=seq.var_degrees,
-                        factor_vars=factor_vars,
-                        factor_tables=(0,) * seq.m, slot_clones=slot_clones)
+                        factor_vars=_pair_topology(seq, rng),
+                        factor_tables=(0,) * seq.m)
         if not simple_only or g.is_simple():
             return g
     raise AttemptsExhausted("simple pairing", max_attempts)
@@ -675,7 +688,7 @@ def sample_null(n: int, dspec: DegreeSpec, kspec: DegreeSpec, family: WeightFami
     if not family.supports(kspec.support):
         raise ValueError("family does not cover every arity in the degree spec")
     seq = sample_degree_sequence(n, dspec, kspec, seed, max_attempts=max_attempts)
-    factor_vars, slot_clones = _pair_topology(seq, substream(seed, 1))
+    factor_vars = _pair_topology(seq, substream(seed, 1))
     wrng = substream(seed, 2)
     tables = tuple(
         int(wrng.choice(family.n_tables(k), p=family.masses[k]))
@@ -683,7 +696,6 @@ def sample_null(n: int, dspec: DegreeSpec, kspec: DegreeSpec, family: WeightFami
     )
     return FactorGraph(family=family, var_degrees=seq.var_degrees,
                        factor_vars=factor_vars, factor_tables=tables,
-                       slot_clones=slot_clones,
                        meta={"construction": "null", "sequence_rejections": seq.rejections})
 
 
@@ -707,13 +719,12 @@ def _colouring_groups(seq: DegreeSequence, target: np.ndarray,
     """One cell group per arity, plus one for the pebbles.  Cells using a
     colour that ``target`` lacks can never be accepted, so they are dropped."""
     dead = target == 0
-    arities = np.asarray(seq.factor_arities, dtype=np.int64)
     groups = []
-    for k in sorted(set(seq.factor_arities)):
+    for k in np.flatnonzero(np.bincount(seq.arities)).tolist():
         form = family.compiled.arity[k]
         keep = np.flatnonzero(form.colours[:, dead].sum(axis=1) == 0)
         groups.append(_CellGroup(keep, form.colours[keep], np.log(form.tuple_law[keep]),
-                                 np.flatnonzero(arities == k)))
+                                 np.flatnonzero(seq.arities == k)))
     if seq.cavity_count:
         live = np.flatnonzero(~dead)
         groups.append(_CellGroup(live, np.eye(family.q, dtype=np.int64)[live],
@@ -795,8 +806,7 @@ def _conditioned_colouring(seq: DegreeSequence, sigma: np.ndarray,
     colours, attempts); raises ``AttemptsExhausted`` after ``max_attempts``
     attempts.
     """
-    d = np.asarray(seq.var_degrees)
-    target = np.bincount(sigma, weights=d, minlength=family.q).astype(np.int64)
+    target = np.bincount(sigma, weights=seq.degrees, minlength=family.q).astype(np.int64)
     if max_attempts is None:
         max_attempts = int(10_000 * math.sqrt(max(seq.total_var_degree, 1)))
     groups = _colouring_groups(seq, target, family)
@@ -824,11 +834,10 @@ def _tilted_weight_choice(seq: DegreeSequence, tuples: np.ndarray,
                           rng: np.random.Generator) -> np.ndarray:
     """Weight choice per factor with mass proportional to P(psi) psi(colors),
     by inverse CDF with one uniform per factor."""
-    arities = np.asarray(seq.factor_arities, dtype=np.int64)
     u = rng.random(seq.m)
     out = np.empty(seq.m, dtype=np.int64)
-    for k in sorted(set(seq.factor_arities)):
-        rows = np.flatnonzero(arities == k)
+    for k in np.flatnonzero(np.bincount(seq.arities)).tolist():
+        rows = np.flatnonzero(seq.arities == k)
         cdf = family.compiled.arity[k].table_cdf[tuples[rows]]
         out[rows] = (u[rows, None] >= cdf).sum(axis=1)
     return out
@@ -839,13 +848,13 @@ def _colour_consistent_pairing(seq: DegreeSequence, sigma: np.ndarray,
                                family: WeightFamily, rng: np.random.Generator):
     """Uniform colour-consistent bijection of variable clones onto positions."""
     q = family.q
-    arities = np.asarray(seq.factor_arities, dtype=np.int64)
+    arities = seq.arities
     factor = np.repeat(np.arange(seq.m), arities)
     # slot s of an arity-k factor holds digit s of its tuple, most significant first
-    slot = np.arange(len(factor)) - np.repeat(np.cumsum(arities) - arities, arities)
+    slot = np.arange(seq.total_factor_degree) - np.repeat(np.cumsum(arities) - arities, arities)
     power = q ** (arities[factor] - 1 - slot)
     position_colors = np.concatenate([tuples[factor] // power % q, pebbles])
-    clone_colors = sigma[_clone_owners(seq.var_degrees)]
+    clone_colors = np.repeat(sigma, seq.degrees)
 
     assignment = np.full(len(position_colors), -1, dtype=np.int64)
     for w in range(q):
@@ -854,7 +863,7 @@ def _colour_consistent_pairing(seq: DegreeSequence, sigma: np.ndarray,
         if len(clones_w) != len(positions_w):
             raise ValueError("colour histograms do not match")
         assignment[positions_w] = clones_w[rng.permutation(len(clones_w))]
-    return _slot_tuples(seq, assignment[:len(factor)])
+    return _slot_vars(seq, assignment[:seq.total_factor_degree])
 
 
 def sample_planted(seq: DegreeSequence, sigma: np.ndarray, family: WeightFamily,
@@ -880,12 +889,12 @@ def sample_planted(seq: DegreeSequence, sigma: np.ndarray, family: WeightFamily,
     tuples, pebbles, attempts = _conditioned_colouring(
         seq, sigma, family, substream(seed, 10), max_attempts=max_attempts)
     table_ids = _tilted_weight_choice(seq, tuples, family, substream(seed, 11))
-    factor_vars, slot_clones = _colour_consistent_pairing(seq, sigma, tuples, pebbles, family,
-                                                          substream(seed, 12))
+    factor_vars = _colour_consistent_pairing(seq, sigma, tuples, pebbles, family,
+                                             substream(seed, 12))
     pins = tuple((i, int(sigma[i])) for i in range(theta))
     return FactorGraph(family=family, var_degrees=seq.var_degrees,
                        factor_vars=factor_vars, factor_tables=tuple(table_ids.tolist()),
-                       slot_clones=slot_clones, pins=pins,
+                       pins=pins,
                        meta={"construction": "planted",
                              "colouring_attempts": attempts,
                              "colouring_mcmc": False})

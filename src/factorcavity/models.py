@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import bethe
 from .graphmodel import (DegreeSpec, FactorGraph, WeightFamily,
                          _parity_tensor)
 from .rng import substream
@@ -75,8 +76,8 @@ def ldgm_channel(g: FactorGraph, x, eta: float, seed: int) -> np.ndarray:
     table index 0 where y* is 0.
     """
     x = np.asarray(x, dtype=np.int64)
-    parity = np.array([sum(int(x[v]) for v in fv) % 2 for fv in g.factor_vars],
-                      dtype=np.int64)
+    factor_of = np.repeat(np.arange(g.m), g.arities)
+    parity = np.bincount(factor_of, weights=x[g.edge_vars], minlength=g.m).astype(np.int64) % 2
     rng = substream(seed, 90)
     flips = rng.random(g.m) < eta
     return (parity + flips.astype(np.int64)) % 2
@@ -190,20 +191,19 @@ def kspin_log_normalizer(model: ModelSpec, table_ids: Sequence[int]) -> float:
 
 
 def lrc_threshold(beta: float, kspec: DegreeSpec, d_grid: Sequence[float], seed: int,
-                  *, r: int = 6, pop_size: int = 2000,
-                  sweeps: int = 100, samples: int = 20_000):
+                  *, r: int = 6, pop_size: int = bethe.DEFAULT_POPULATION,
+                  sweeps: int = bethe.DEFAULT_SWEEPS, samples: int = bethe.DEFAULT_SAMPLES):
     """Bracket the mean degree where pair correlations stop vanishing.
 
     Scans the degree grid and compares the functional's best value against
     ln 2; returns the scan result with a one-step bracket.
     """
-    from .bethe import threshold_scan
 
     def family(d):
         return kspin(beta, kspec, r, d=d)
 
-    return threshold_scan(family, d_grid, comparator=math.log(2.0), seed=seed,
-                          pop_size=pop_size, sweeps=sweeps, samples=samples)
+    return bethe.threshold_scan(family, d_grid, comparator=math.log(2.0), seed=seed,
+                                pop_size=pop_size, sweeps=sweeps, samples=samples)
 
 
 MODELS = {

@@ -203,3 +203,20 @@ def test_config_rejects_unknown_budget_keys():
         config.validate()
     config.budget = {"pop_size": 200, "sweeps": 5, "samples": 100, "pos_trials": 10}
     assert config.validate() is config
+
+
+def test_config_file_rejects_unknown_top_level_keys(tmp_path):
+    from factorcavity.errors import ConfigError
+
+    cfg = {"model": {"name": "ldgm", "dspec": 2, "kspec": 2},
+           "grid": {"param": "eta", "values": [0.3]}, "seed": 1,
+           "budget": {"pop_size": 150}, "comparator": "annealed", "workers": 1}
+    path = tmp_path / "ok.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    config = cli.ExperimentConfig.from_file(path, "mi-scan")
+    assert config.seed == 1 and not hasattr(config, "out")
+    # an output path belongs on the command line (--out), not in the config
+    path.write_text(yaml.safe_dump(dict(cfg, out="results/scan")))
+    with pytest.raises(ConfigError, match="out"):
+        cli.ExperimentConfig.from_file(path, "mi-scan")
+    assert run_cli(["mi-scan", "--config", str(path)]) == 2

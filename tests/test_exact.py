@@ -406,7 +406,7 @@ def _loop_bp(g, sweeps, damping):
     """Reference sweeps: the factor side through the contraction kernel, the
     variable side as per-variable prefix/suffix products in the linear domain."""
     q = g.q
-    edge_var = exact._edge_vars(g)
+    edge_var = g.edge_vars
     fields = exact._pin_fields(g)
     ks, tables, slots = exact._factor_slots(g)
     factor_of = np.repeat(np.arange(g.m), ks)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, poisson
 
-from factorcavity import exact, models
+from factorcavity import bethe, exact, models
 from factorcavity.errors import AttemptsExhausted, ZeroMean
 from factorcavity.graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
                                      WeightFamily, pair_uniform, pin,
@@ -65,6 +65,32 @@ def test_poisson_spec_rejects_mean_far_above_cap():
             DegreeSpec.poisson(1000)
         with pytest.raises(ValueError):
             DegreeSpec.poisson(1e6, max_support=10)
+
+
+def test_poisson_truncated_mass_stays_a_probability():
+    # far above the cap nearly all mass is cut; P(X > cut) must not round above one
+    for mean in (700, 745):
+        spec = DegreeSpec.poisson(mean)
+        assert 0.999 < spec.truncated_mass <= 1.0
+
+
+@pytest.mark.parametrize("spec", [
+    DegreeSpec.constant(3),
+    DegreeSpec.from_mapping({2: 0.3, 3: 0.2, 7: 0.5}),
+    DegreeSpec.poisson(2.5),
+    bethe.size_biased(DegreeSpec.poisson(3.0)),
+    bethe._excess_degree_law(DegreeSpec.from_mapping({1: 0.2, 2: 0.5, 4: 0.3})),
+], ids=["constant", "mapped", "poisson", "size-biased", "excess"])
+def test_degree_spec_sample_is_rng_choice(spec):
+    # the cached-CDF draw keeps Generator.choice's stream bit for bit
+    for seed in range(5):
+        for size in (0, 1, 3000):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = spec.sample(ours, size)
+            want = (ref.choice(spec.support, size, p=spec.mass) if size
+                    else np.zeros(0, dtype=np.int64))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert ours.random() == ref.random()
 
 
 @pytest.mark.parametrize("mean, max_support",
@@ -590,6 +616,36 @@ def test_graph_validation_and_with_pins():
         with pytest.raises(ValueError, match="pin out of range"):
             FactorGraph(family=fam, var_degrees=(1, 2, 1), factor_vars=g.factor_vars,
                         factor_tables=g.factor_tables, pins=bad)
+
+
+def _assert_array_form(g):
+    assert g.edge_vars.dtype == np.int64 and g.arities.dtype == np.int64
+    assert np.array_equal(g.edge_vars,
+                          np.array(sum(g.factor_vars, ()), dtype=np.int64).reshape(-1))
+    assert tuple(g.arities.tolist()) == tuple(len(fv) for fv in g.factor_vars)
+
+
+def test_graph_array_form_matches_factor_vars():
+    model = models.ldgm(0.1, DegreeSpec.constant(3), DegreeSpec.from_mapping({2: 0.5, 3: 0.5}))
+    seq = sample_degree_sequence(60, model.dspec, model.kspec, 3)
+    assert np.array_equal(seq.degrees, seq.var_degrees)
+    assert np.array_equal(seq.arities, seq.factor_arities)
+    assert (seq.total_var_degree, seq.total_factor_degree) == \
+        (sum(seq.var_degrees), sum(seq.factor_arities))
+    null = sample_null(60, model.dspec, model.kspec, model.family, 3)
+    planted = sample_planted(seq, uniform_assignment(60, 2, substream(3, 5)),
+                             model.family, 6, 3)
+    pinned = pin(null, 4, seed=1)
+    back = FactorGraph.from_text(planted.to_text(), model.family)
+    empty = FactorGraph(family=model.family, var_degrees=(0, 0), factor_vars=(),
+                        factor_tables=())
+    for g in (null, planted, pinned, back, empty):
+        _assert_array_form(g)
+    for g in (null, planted, pinned, back):
+        assert np.array_equal(g.realized_degrees(), g.var_degrees)
+        assert not g.cavity_counts().any()
+    assert back.var_degrees == planted.var_degrees
+    assert empty.realized_degrees().tolist() == [0, 0]
 
 
 # ---------------------------------------------------------------------------
