@@ -27,7 +27,7 @@ print(draws)
 print("\n== the tilted-pair identity, termwise ==")
 for name, family in (("sbm(beta=0.7)", sbm(2, 0.7, 3).family),
                      ("ldgm(eta=0.25)", ldgm(0.25, d2, k2).family)):
-    disc = nishimori_check(3, d2, k2, family, tol=1e-10)
+    disc = nishimori_check(3, d2, k2, family)
     print(f"{name}: max termwise discrepancy {disc:.2e}")
 
 print("\n== sum-product on the loopy instance (an approximation there) ==")

@@ -59,7 +59,7 @@ def criterion_1_nishimori(seed: int) -> CriterionResult:
     worst = 0.0
     for family in (models.sbm(2, 0.7, 3).family,
                    models.ldgm(0.25, _D2, _K2).family):
-        worst = max(worst, exact.nishimori_check(3, _D2, _K2, family, 1e-10, seed=seed))
+        worst = max(worst, exact.nishimori_check(3, _D2, _K2, family, seed=seed))
     return CriterionResult("1 nishimori identity", worst <= 1e-10, worst, 1e-10, 0.0)
 
 

@@ -18,8 +18,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridTooCoarse
-from .graphmodel import DegreeSpec, WeightFamily
+from .graphmodel import SYM_TOL, DegreeSpec, WeightFamily
 from .rng import spin_permutations, substream
+
+# BAL gaps and POS margins within this of zero are rounding, not violations
+_MARGIN_TOL = 1e-9
+# POS candidate populations: points per population, and the largest product
+# grid of slot supports an evaluation may build (larger arities are skipped)
+_POS_POPULATION = 12
+_POS_GRID_CAP = 500_000
 
 
 @dataclass
@@ -58,25 +65,20 @@ def check_deg(dspec: DegreeSpec, kspec: DegreeSpec) -> CheckReport:
     return CheckReport("DEG", True, info=info)
 
 
-def check_sym(family: WeightFamily, tol: float = 1e-9) -> CheckReport:
-    """Exact loop over all (arity, table, coordinate, spin) marginal sums.
+def check_sym(family: WeightFamily) -> CheckReport:
+    """All (arity, table, coordinate, spin) marginal sums equal one constant.
 
-    Passes iff every sum q^{1-k} sum_{s: s_j = w} psi(s) equals the same
-    constant within tol and every table entry is strictly positive.  The
-    constant is reported as info['xi'].
+    Passes iff the sums q^{1-k} sum_{s: s_j = w} psi(s) spread by at most
+    ``SYM_TOL``, the test of ``WeightFamily.xi``; their mean and spread are
+    the ones ``family.compiled`` holds, and the constant is reported as
+    info['xi'].  A failure's witness (k, table, j, w, deviation) is the sum
+    farthest from the mean.  Tables are strictly positive by construction.
     """
-    sums = family.marginal_sums()
-    values = np.concatenate([rows.ravel() for rows in sums.values()])
-    xi = float(values.mean())
-    spread = float(values.max() - values.min())
-    min_entry = family.min_entry()
-    info = {"xi": xi, "spread": spread, "min_entry": min_entry}
-    if min_entry <= 0:
-        return CheckReport("SYM", False, witness=("nonpositive-entry", min_entry),
-                           detail=abs(min_entry), info=info)
-    if spread > tol:
+    xi, spread = family.compiled.xi, family.compiled.xi_spread
+    info = {"xi": xi, "spread": spread}
+    if spread > SYM_TOL:
         witness = None
-        for (k, i), rows in sums.items():
+        for (k, i), rows in family.marginal_sums().items():
             dev = np.abs(rows - xi)
             j, w = np.unravel_index(int(dev.argmax()), rows.shape)
             if witness is None or dev[j, w] > witness[-1]:
@@ -105,7 +107,7 @@ def _mean_poly(table: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def check_bal(family: WeightFamily, grid_resolution: int = 64,
-              tol: float = 1e-9, pairs: int = 2000, seed: int = 0) -> CheckReport:
+              pairs: int = 2000, seed: int = 0) -> CheckReport:
     """Grid maximum at the barycenter plus midpoint concavity, per arity.
 
     Sound but incomplete: the polynomial is evaluated on a simplex lattice
@@ -126,7 +128,7 @@ def check_bal(family: WeightFamily, grid_resolution: int = 64,
         f_uniform = float(_mean_poly(mean_table, uniform[None])[0])
         gap = float(vals.max()) - f_uniform
         info[f"k{k}_max_gap"] = gap
-        if gap > tol:
+        if gap > _MARGIN_TOL:
             arg = grid[int(vals.argmax())]
             if gap > worst:
                 worst, witness = gap, ("max-not-uniform", k, tuple(arg.round(6)))
@@ -136,7 +138,7 @@ def check_bal(family: WeightFamily, grid_resolution: int = 64,
         ends = 0.5 * (_mean_poly(mean_table, a) + _mean_poly(mean_table, b))
         conc = float((ends - mids).max())
         info[f"k{k}_concavity_gap"] = max(conc, 0.0)
-        if conc > tol:
+        if conc > _MARGIN_TOL:
             at = int((ends - mids).argmax())
             if conc > worst:
                 worst, witness = conc, ("midpoint-convexity", k,
@@ -245,14 +247,12 @@ def pos_margin(family: WeightFamily, k: int, pop_a, pop_b) -> float:
     return t1 + t2 - t3
 
 
-def check_pos(family: WeightFamily, trials: int = 1000,
-              population_size: int = 12, seed: int = 0,
-              *, grid_cap: int = 500_000, tol: float = 1e-9) -> CheckReport:
+def check_pos(family: WeightFamily, trials: int = 1000, seed: int = 0) -> CheckReport:
     """Randomised falsifier for the three-term convexity inequality.
 
     Samples candidate population pairs (atoms, Dirichlet clouds, polarised
     and mirror populations), evaluates the inequality exactly on their
-    finite supports for every arity, and fails on any margin below -tol.
+    finite supports for every arity, and fails on any margin below -1e-9.
     A pass means no violation was found in ``trials`` attempts; it is a
     one-sided check, not a proof.
     """
@@ -261,13 +261,13 @@ def check_pos(family: WeightFamily, trials: int = 1000,
     witness = None
     checked = 0
     for trial in range(trials):
-        pop_a, pop_b = _candidate_pair(family.q, rng, population_size)
+        pop_a, pop_b = _candidate_pair(family.q, rng, _POS_POPULATION)
         for k in family.arities:
-            if max(len(pop_a[0]), len(pop_b[0])) ** k > grid_cap:
+            if max(len(pop_a[0]), len(pop_b[0])) ** k > _POS_GRID_CAP:
                 continue
             margin = pos_margin(family, k, pop_a, pop_b)
             checked += 1
-            if margin < -tol:
+            if margin < -_MARGIN_TOL:
                 worst = margin
                 witness = {"k": k, "trial": trial, "margin": margin,
                            "pi": pop_a, "pi_prime": pop_b}

@@ -255,16 +255,17 @@ def bethe_estimate(pi: SimplexPopulation, model, samples: int = DEFAULT_SAMPLES,
 
 
 _INITS = ("uniform-perturbed", "planted-polarized")
+# share of a planted-polarized start's mass on its own colour's corner
+_POLARISATION = 0.98
 
 
 def _initial_population(colours: np.ndarray, q: int, init: str,
-                        rng: np.random.Generator,
-                        polarisation: float = 0.98) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     if init == "uniform-perturbed":
         return rng.dirichlet([50.0] * q, size=len(colours))
     if init == "planted-polarized":
-        pts = np.full((len(colours), q), (1.0 - polarisation) / q)
-        pts[np.arange(len(colours)), colours] += polarisation
+        pts = np.full((len(colours), q), (1.0 - _POLARISATION) / q)
+        pts[np.arange(len(colours)), colours] += _POLARISATION
         return pts
     raise ValueError(f"init must be one of {_INITS}")
 
@@ -343,14 +344,14 @@ def sup_bethe(model, seed: int = 0, *,
 
 
 def mutual_information(model, seed: int = 0, *,
-                       waive_pos: bool = False, pos_trials: int = DEFAULT_POS_TRIALS,
+                       pos_trials: int = DEFAULT_POS_TRIALS,
                        pop_size: int = DEFAULT_POPULATION,
                        sweeps: int = DEFAULT_SWEEPS,
                        samples: int = DEFAULT_SAMPLES) -> MIResult:
     """ln q + (E[d]/(xi E[k])) E[q^{-k} sum Lambda(psi)] - sup of the functional.
 
-    Checks the model hypotheses first; a failed check raises unless the
-    convexity falsifier was explicitly waived by the caller.
+    Checks the model hypotheses DEG, SYM, BAL and POS first, in that order,
+    and raises ``AssumptionViolation`` on the first that fails.
     """
     from . import assumptions
     from .exact import information_term
@@ -360,10 +361,9 @@ def mutual_information(model, seed: int = 0, *,
                    assumptions.check_bal(model.family)):
         if not report.passed:
             raise AssumptionViolation(report)
-    if not waive_pos:
-        report = assumptions.check_pos(model.family, trials=pos_trials, seed=seed)
-        if not report.passed:
-            raise AssumptionViolation(report)
+    report = assumptions.check_pos(model.family, trials=pos_trials, seed=seed)
+    if not report.passed:
+        raise AssumptionViolation(report)
 
     xi = model.family.xi()
     info = information_term(model.family, model.kspec)
@@ -395,13 +395,14 @@ class ScanResult:
 
 
 def threshold_scan(model_family: Callable[[float], object], param_grid: Sequence[float],
-                   comparator: Union[str, float, Callable] = "annealed",
+                   comparator: Union[str, float] = "annealed",
                    *, seed: int = 0,
                    pop_size: int = DEFAULT_POPULATION, sweeps: int = DEFAULT_SWEEPS,
                    samples: int = DEFAULT_SAMPLES) -> ScanResult:
     """Walk a sorted grid until the functional exceeds its comparator by 3 SE.
 
-    Returns the first crossing with a one-grid-step bracket; raises
+    The comparator is the annealed free entropy (``"annealed"``) or a fixed
+    number.  Returns the first crossing with a one-grid-step bracket; raises
     ``NoCrossing`` (carrying the computed rows) if the grid never crosses.
     """
     grid = list(param_grid)
@@ -412,12 +413,7 @@ def threshold_scan(model_family: Callable[[float], object], param_grid: Sequence
     for idx, param in enumerate(grid):
         model = model_family(param)
         phi_a = annealed_free_entropy(model)
-        if comparator == "annealed":
-            comp = phi_a
-        elif callable(comparator):
-            comp = float(comparator(model))
-        else:
-            comp = float(comparator)
+        comp = phi_a if comparator == "annealed" else float(comparator)
         sup = sup_bethe(model, seed + 104729 * idx,
                         pop_size=pop_size, sweeps=sweeps, samples=samples)
         uni = sup.candidates["pd-uniform-perturbed"]

@@ -292,9 +292,8 @@ def cmd_sample(args) -> int:
         meta["sigma"] = sigma.tolist()
     else:
         sigma, g = sample_nishimori(args.n, model.dspec, model.kspec, model.family,
-                                    args.seed, approximate=args.approximate)
-        meta["sigma"] = np.asarray(sigma).tolist()
-        meta["mode"] = g.meta.get("nishimori_mode")
+                                    args.seed)
+        meta["sigma"] = sigma.tolist()
     text = g.to_text()
     if args.out:
         io.write_text(args.out + ".graph.txt", text)
@@ -442,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, model_flags=True):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", help="output path stem (files get suffixes)")
         if model_flags:
             _add_model_flags(p)
@@ -457,8 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("null", "planted", "nishimori"), default="null")
     p.add_argument("--theta", type=int, default=0)
-    p.add_argument("--approximate", action="store_true",
-                   help="contiguity-approximate assignment tilting")
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("exact", help="enumerate log Z and marginals")
@@ -491,6 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mi-scan", help="mutual information over a parameter grid")
     common(p, model_flags=False)
     p.add_argument("--config", required=True)
+    p.add_argument("--workers", type=int, default=None,
+                   help=f"grid points run in parallel (capped by {WORKER_ENV})")
     p.set_defaults(fn=cmd_mi_scan)
     p.set_defaults(seed=None)
 

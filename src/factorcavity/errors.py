@@ -31,7 +31,7 @@ class SymViolation(FactorCavityError):
 
 
 class AssumptionViolation(FactorCavityError):
-    """A required model hypothesis failed and no waiver was set."""
+    """A required model hypothesis failed."""
 
     def __init__(self, report):
         super().__init__(f"assumption {report.name} failed: {report.witness}")

@@ -127,8 +127,7 @@ def _log_weight_blocks(g: FactorGraph, cap: int):
     return rows[n - low:], blocks()
 
 
-def partition_function(g: FactorGraph, *, cap: int = STATE_CAP,
-                       want_pairs: bool = False) -> BoltzmannSummary:
+def partition_function(g: FactorGraph, *, want_pairs: bool = False) -> BoltzmannSummary:
     """Exact log Z and marginals by full enumeration.
 
     With ``want_pairs`` also accumulates all pairwise joint marginals and the
@@ -140,7 +139,7 @@ def partition_function(g: FactorGraph, *, cap: int = STATE_CAP,
     joint X^T diag(sum_b w_b) X come from the summed weights, once.
     """
     n, q = g.n, g.q
-    rows, blocks = _log_weight_blocks(g, cap)
+    rows, blocks = _log_weight_blocks(g, STATE_CAP)
     xt = np.eye(q).take(rows, axis=1).transpose(1, 0, 2).reshape(-1, rows.shape[1])
     split = n * q - len(xt)
     top, z, tail = -np.inf, 0.0, np.zeros(rows.shape[1])
@@ -185,20 +184,19 @@ def _two_point_from_joint(joint: np.ndarray, marg: np.ndarray) -> float:
     return float(val.sum() / n ** 2)
 
 
-def two_point(g: FactorGraph, *, cap: int = STATE_CAP) -> float:
+def two_point(g: FactorGraph) -> float:
     """Averaged absolute pair-correlation of the Boltzmann distribution.
 
     For q = 2 this is |mu(s_x = s_y = +1) - mu(s_x = +1) mu(s_y = +1)|
     summed over ordered pairs (x, y) of distinct variables and divided by
     n^2; for larger alphabets the worst spin pair is taken at every (x, y).
     """
-    return float(partition_function(g, cap=cap, want_pairs=True).two_point)
+    return float(partition_function(g, want_pairs=True).two_point)
 
 
-def boltzmann_sample(g: FactorGraph, count: int, seed: int,
-                     *, cap: int = SAMPLE_STATE_CAP) -> np.ndarray:
+def boltzmann_sample(g: FactorGraph, count: int, seed: int) -> np.ndarray:
     """Exact inverse-CDF samples from the Boltzmann distribution, (count, n)."""
-    logw = np.concatenate([logw for _, logw in _log_weight_blocks(g, cap)[1]])
+    logw = np.concatenate([logw for _, logw in _log_weight_blocks(g, SAMPLE_STATE_CAP)[1]])
     w = np.exp(logw - logw.max())
     cdf = np.cumsum(w / w.sum())
     cdf[-1] = 1.0
@@ -211,7 +209,7 @@ def boltzmann_sample(g: FactorGraph, count: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def iter_slot_maps(seq: DegreeSequence, *, cap: int = PAIRING_TERM_CAP):
+def iter_slot_maps(seq: DegreeSequence):
     """All slot -> variable maps of a uniform clone pairing, with probability.
 
     Yields (per-factor variable tuples, probability).  The probability of a
@@ -226,8 +224,8 @@ def iter_slot_maps(seq: DegreeSequence, *, cap: int = PAIRING_TERM_CAP):
         nonlocal emitted
         if i == seq.total_factor_degree:
             emitted += 1
-            if emitted > cap:
-                raise CapExceeded("pairing enumeration", emitted, cap)
+            if emitted > PAIRING_TERM_CAP:
+                raise CapExceeded("pairing enumeration", emitted, PAIRING_TERM_CAP)
             yield _split(current, seq.factor_arities), prob
             return
         for v in range(len(d)):
@@ -243,8 +241,7 @@ def iter_slot_maps(seq: DegreeSequence, *, cap: int = PAIRING_TERM_CAP):
     yield from rec(0, list(d), total, 1.0, [])
 
 
-def expected_weight(seq: DegreeSequence, family: WeightFamily, sigma,
-                    *, cap: int = PAIRING_TERM_CAP) -> float:
+def expected_weight(seq: DegreeSequence, family: WeightFamily, sigma) -> float:
     """Expected graph weight of ``sigma`` over pairings and weight choices.
 
     Uses the colour-count factorisation: the weight of a pairing depends on
@@ -262,9 +259,9 @@ def expected_weight(seq: DegreeSequence, family: WeightFamily, sigma,
         mean_flat = family.mean_table(k).ravel()
         tuples = list(np.ndindex(*(q,) * k))
         new_states = {}
-        if len(states) * len(tuples) > cap:
+        if len(states) * len(tuples) > PAIRING_TERM_CAP:
             raise CapExceeded("colour-count dynamic programme",
-                              len(states) * len(tuples), cap)
+                              len(states) * len(tuples), PAIRING_TERM_CAP)
         for state, acc in states.items():
             for flat, tup in enumerate(tuples):
                 nxt = list(state)
@@ -292,8 +289,7 @@ def expected_weight(seq: DegreeSequence, family: WeightFamily, sigma,
     return out / denom
 
 
-def nishimori_check(n: int, dspec, kspec, family: WeightFamily, tol: float,
-                    *, seed: int = 0, cap: int = PAIRING_TERM_CAP) -> float:
+def nishimori_check(n: int, dspec, kspec, family: WeightFamily, *, seed: int = 0) -> float:
     """Termwise check of the tilted-pair identity on one degree sequence.
 
     For every labelled graph G (slot map plus weight choices) and assignment
@@ -302,7 +298,7 @@ def nishimori_check(n: int, dspec, kspec, family: WeightFamily, tol: float,
         P[Z-tilted graph = G] mu_G(sigma)
         ==  P[tilted assignment = sigma] P[planted graph = G | sigma]
 
-    and returns the maximum absolute difference.  Passes iff <= tol.
+    and returns the maximum absolute difference, 0 up to rounding.
     """
     seq = sample_degree_sequence(n, dspec, kspec, seed)
     if seq.n > 4 or seq.total_var_degree > 10:
@@ -311,7 +307,7 @@ def nishimori_check(n: int, dspec, kspec, family: WeightFamily, tol: float,
     q = family.q
     graphs = []          # (factor_vars, table_ids, P[G|D], psi_G per sigma)
     assignments = list(np.ndindex(*(q,) * n))
-    for slot_map, prob in iter_slot_maps(seq, cap=cap):
+    for slot_map, prob in iter_slot_maps(seq):
         table_choices = [range(family.n_tables(k)) for k in seq.factor_arities]
         for ids in itertools.product(*table_choices):
             p_g = prob
@@ -349,8 +345,7 @@ def nishimori_check(n: int, dspec, kspec, family: WeightFamily, tol: float,
 # ---------------------------------------------------------------------------
 
 
-def planted_law_reweighting(seq: DegreeSequence, sigma, family: WeightFamily,
-                            *, cap: int = PAIRING_TERM_CAP) -> dict:
+def planted_law_reweighting(seq: DegreeSequence, sigma, family: WeightFamily) -> dict:
     """The defining law of the teacher-student graph: null times weight.
 
     Returns {(slot_map, table_ids): probability} with mass proportional to
@@ -358,7 +353,7 @@ def planted_law_reweighting(seq: DegreeSequence, sigma, family: WeightFamily,
     """
     sigma = np.asarray(sigma, dtype=np.int64)
     law = {}
-    for slot_map, prob in iter_slot_maps(seq, cap=cap):
+    for slot_map, prob in iter_slot_maps(seq):
         table_choices = [range(family.n_tables(k)) for k in seq.factor_arities]
         for ids in itertools.product(*table_choices):
             p = prob
@@ -475,51 +470,45 @@ class MIMonteCarlo(NamedTuple):
     stderr: float
 
 
-def _planted_log_z_samples(model, n: int, graphs: int, seed: int,
-                           *, cap: int = STATE_CAP) -> np.ndarray:
+def _planted_free_entropy(model, n: int, graphs: int, seed: int) -> MIMonteCarlo:
+    """Mean of log Z(planted graph)/n over ``graphs`` uniform ground truths on
+    one degree sequence, with its standard error."""
     seq = sample_degree_sequence(n, model.dspec, model.kspec, seed)
-    out = np.empty(graphs)
+    log_zs = np.empty(graphs)
     for i in range(graphs):
         rng = substream(seed, 40, i)
         sigma = uniform_assignment(n, model.q, rng)
         g = sample_planted(seq, sigma, model.family, 0, int(rng.integers(2 ** 62)))
-        out[i] = partition_function(g, cap=cap).log_z
-    return out
+        log_zs[i] = partition_function(g).log_z
+    stderr = float(log_zs.std(ddof=1)) / math.sqrt(graphs) / n if graphs > 1 else math.inf
+    return MIMonteCarlo(float(log_zs.mean()) / n, stderr)
 
 
-def mi_monte_carlo(model, n: int, graphs: int, seed: int,
-                   *, cap: int = STATE_CAP) -> MIMonteCarlo:
+def mi_monte_carlo(model, n: int, graphs: int, seed: int) -> MIMonteCarlo:
     """Finite-size mutual information per variable, with Monte-Carlo error.
 
     ln q plus the exact information term, minus the sampled mean of
     log Z(planted graph)/n on one degree sequence.  The systematic
     finite-size gap is not included in the reported standard error.
     """
-    log_zs = _planted_log_z_samples(model, n, graphs, seed, cap=cap)
+    phi = _planted_free_entropy(model, n, graphs, seed)
     xi = model.family.xi()
     info = information_term(model.family, model.kspec)
     coeff = model.dspec.mean / (xi * model.kspec.mean)
-    value = math.log(model.q) + coeff * info - float(log_zs.mean()) / n
-    stderr = float(log_zs.std(ddof=1)) / math.sqrt(graphs) / n if graphs > 1 else math.inf
-    return MIMonteCarlo(value, stderr)
+    return MIMonteCarlo(math.log(model.q) + coeff * info - phi.value, phi.stderr)
 
 
-def kl_density(model, n: int, graphs: int, seed: int, *, cap: int = STATE_CAP,
-               with_stderr: bool = False):
+def kl_density(model, n: int, graphs: int, seed: int) -> MIMonteCarlo:
     """Leading term of KL(planted || null)/n: quenched minus annealed.
 
     Estimates E[log Z(planted)]/n by exact log Z over sampled planted graphs
-    and subtracts the annealed free entropy density.
+    and subtracts the annealed free entropy density; the standard error is
+    that of the sampled mean.
     """
     from .bethe import annealed_free_entropy
 
-    log_zs = _planted_log_z_samples(model, n, graphs, seed, cap=cap)
-    phi_star = float(log_zs.mean()) / n
-    value = phi_star - annealed_free_entropy(model)
-    if with_stderr:
-        stderr = float(log_zs.std(ddof=1)) / math.sqrt(graphs) / n if graphs > 1 else math.inf
-        return value, stderr
-    return value
+    phi = _planted_free_entropy(model, n, graphs, seed)
+    return MIMonteCarlo(phi.value - annealed_free_entropy(model), phi.stderr)
 
 
 # ---------------------------------------------------------------------------

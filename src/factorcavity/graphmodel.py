@@ -26,12 +26,17 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import AttemptsExhausted, SymViolation, ZeroMean
+from .errors import AttemptsExhausted, CapExceeded, SymViolation, ZeroMean
 from .rng import substream
 
 MAX_DEGREE = 64
+# largest spread of a family's marginal sums that still counts as one constant
+SYM_TOL = 1e-9
 
 _SEQ_ATTEMPTS = 100_000
+_PAIRING_ATTEMPTS = 10_000
+# a Poisson law's support ends where less than this much mass lies beyond it
+_POISSON_TAIL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +75,10 @@ class DegreeSpec:
             raise ValueError("masses must be finite and nonnegative")
         if abs(sum(mass) - 1.0) > 1e-12:
             raise ValueError("masses must sum to 1 within 1e-12")
-        # the CDF Generator.choice(p=mass) builds, so draws keep its stream
-        cdf = np.cumsum(mass)
-        cdf /= cdf[-1]
-        cdf.flags.writeable = False
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "values", _frozen_ints(support))
-        object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "cdf", _choice_cdf(mass))
 
     @classmethod
     def constant(cls, value: int) -> "DegreeSpec":
@@ -89,11 +90,10 @@ class DegreeSpec:
         return cls(tuple(k for k, _ in items), tuple(v for _, v in items))
 
     @classmethod
-    def poisson(cls, mean: float, *, max_support: int = MAX_DEGREE,
-                tail_mass: float = 1e-12) -> "DegreeSpec":
+    def poisson(cls, mean: float, *, max_support: int = MAX_DEGREE) -> "DegreeSpec":
         """Poisson(mean) truncated to a bounded support and renormalised.
 
-        The support ends at the first cut with P(X > cut) <= ``tail_mass``,
+        The support ends at the first cut with P(X > cut) <= 1e-12,
         or at ``max_support``; ``truncated_mass`` is P(X > cut).  Tails are
         summed from the far end, smallest terms first, out to where the
         terms fall e^-45 below the first one past both the cap and the mean.
@@ -111,7 +111,7 @@ class DegreeSpec:
             far += 1
         pmf = np.exp([log_pmf(j) for j in range(far + 1)])
         sf = np.cumsum(pmf[::-1])[::-1][1:]          # sf[c] = P(X > c)
-        cut = next((c for c in range(max_support) if sf[c] <= tail_mass), max_support)
+        cut = next((c for c in range(max_support) if sf[c] <= _POISSON_TAIL), max_support)
         kept = pmf[:cut + 1]
         if not kept.sum() > 0:
             raise ValueError(f"poisson mean {mean} leaves no representable mass "
@@ -227,6 +227,8 @@ class WeightFamily:
         masses = {}
         for k, tabs in self.tables.items():
             k = int(k)
+            if k < 1:
+                raise ValueError("weight tables need arity at least 1")
             canon = []
             for t in tabs:
                 arr = np.asarray(t, dtype=float).reshape((self.q,) * k)
@@ -300,11 +302,12 @@ class WeightFamily:
                 out[(k, i)] = rows
         return out
 
-    def xi(self, tol: float = 1e-9) -> float:
-        """The common marginal-sum constant; raises if it is not constant."""
+    def xi(self) -> float:
+        """The common marginal-sum constant; raises if their spread exceeds
+        ``SYM_TOL``."""
         spread = self.compiled.xi_spread
-        if spread > tol:
-            raise SymViolation(f"marginal sums spread {spread:.3g} exceeds {tol:.3g}")
+        if spread > SYM_TOL:
+            raise SymViolation(f"marginal sums spread {spread:.3g} exceeds {SYM_TOL:.3g}")
         return self.compiled.xi
 
     @cached_property
@@ -432,6 +435,15 @@ def _parity_coefficients(q: int, k: int, flat: np.ndarray) -> Optional[np.ndarra
     if not np.array_equal(flat, 1.0 + coefs[:, None] * _parity_tensor(k).ravel()):
         return None
     return coefs
+
+
+def _choice_cdf(mass) -> np.ndarray:
+    """The read-only CDF that ``Generator.choice(p=mass)`` searches, so a
+    ``searchsorted(u, side="right")`` on it keeps that draw bit for bit."""
+    cdf = np.cumsum(mass)
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
 
 
 def _int_tuple(values) -> tuple:
@@ -626,7 +638,7 @@ def thinned_factor_count(n: int, eps: float, dspec: DegreeSpec, kspec: DegreeSpe
 
 
 def sample_pruned_sequence(n: int, eps: float, dspec: DegreeSpec, kspec: DegreeSpec,
-                           seed: int, *, max_attempts: int = _SEQ_ATTEMPTS) -> DegreeSequence:
+                           seed: int) -> DegreeSequence:
     """Sequence with a thinned factor count; leaves cavities on the variables.
 
     The factor count is Poisson with mean (1-eps) E[d] n / E[k]; draws are
@@ -637,13 +649,13 @@ def sample_pruned_sequence(n: int, eps: float, dspec: DegreeSpec, kspec: DegreeS
     if dspec.mean <= 0 or kspec.mean <= 0:
         raise ZeroMean("degree specs must have positive mean")
     rng = substream(seed, 0)
-    for attempt in range(max_attempts):
+    for attempt in range(_SEQ_ATTEMPTS):
         d = dspec.sample(rng, n)
         m = thinned_factor_count(n, eps, dspec, kspec, rng)
         k = kspec.sample(rng, m)
         if int(d.sum()) >= int(k.sum()):
             return DegreeSequence(d, k, rejections=attempt)
-    raise AttemptsExhausted("pruned degree sequence", max_attempts)
+    raise AttemptsExhausted("pruned degree sequence", _SEQ_ATTEMPTS)
 
 
 # ---------------------------------------------------------------------------
@@ -664,36 +676,41 @@ def _pair_topology(seq: DegreeSequence, rng: np.random.Generator) -> tuple:
     return _slot_vars(seq, order[:seq.total_factor_degree])
 
 
-def pair_uniform(seq: DegreeSequence, seed: int, *, q: int = 2,
-                 simple_only: bool = False, max_attempts: int = 10_000) -> FactorGraph:
-    """Configuration-model pairing; weights are unit tables.
+def pair_uniform(seq: DegreeSequence, seed: int, *,
+                 simple_only: bool = False) -> FactorGraph:
+    """Configuration-model pairing; weights are unit tables over two spins.
 
     With ``simple_only`` the draw is rejected until no factor touches the
     same variable twice.
     """
-    family = WeightFamily.constant(q, sorted(set(seq.factor_arities)) or [1])
+    family = WeightFamily.constant(2, sorted(set(seq.factor_arities)) or [1])
     rng = substream(seed, 1)
-    for _ in range(max_attempts if simple_only else 1):
+    for _ in range(_PAIRING_ATTEMPTS if simple_only else 1):
         g = FactorGraph(family=family, var_degrees=seq.var_degrees,
                         factor_vars=_pair_topology(seq, rng),
                         factor_tables=(0,) * seq.m)
         if not simple_only or g.is_simple():
             return g
-    raise AttemptsExhausted("simple pairing", max_attempts)
+    raise AttemptsExhausted("simple pairing", _PAIRING_ATTEMPTS)
 
 
 def sample_null(n: int, dspec: DegreeSpec, kspec: DegreeSpec, family: WeightFamily,
-                seed: int, *, max_attempts: int = _SEQ_ATTEMPTS) -> FactorGraph:
-    """Null model: pairing topology plus weight choices independent of it."""
+                seed: int) -> FactorGraph:
+    """Null model: pairing topology plus weight choices independent of it.
+
+    Factor j's table is the first index whose mass CDF exceeds the j-th
+    uniform of one draw, the steps of a ``Generator.choice(p=masses)`` call
+    per factor, so the tables are those of that loop bit for bit.
+    """
     if not family.supports(kspec.support):
         raise ValueError("family does not cover every arity in the degree spec")
-    seq = sample_degree_sequence(n, dspec, kspec, seed, max_attempts=max_attempts)
+    seq = sample_degree_sequence(n, dspec, kspec, seed)
     factor_vars = _pair_topology(seq, substream(seed, 1))
-    wrng = substream(seed, 2)
-    tables = tuple(
-        int(wrng.choice(family.n_tables(k), p=family.masses[k]))
-        for k in seq.factor_arities
-    )
+    u = substream(seed, 2).random(seq.m)
+    tables = np.empty(seq.m, dtype=np.int64)
+    for k in np.flatnonzero(np.bincount(seq.arities)).tolist():
+        rows = np.flatnonzero(seq.arities == k)
+        tables[rows] = _choice_cdf(family.masses[k]).searchsorted(u[rows], side="right")
     return FactorGraph(family=family, var_degrees=seq.var_degrees,
                        factor_vars=factor_vars, factor_tables=tables,
                        meta={"construction": "null", "sequence_rejections": seq.rejections})
@@ -901,30 +918,25 @@ def sample_planted(seq: DegreeSequence, sigma: np.ndarray, family: WeightFamily,
 
 
 def sample_nishimori(n: int, dspec: DegreeSpec, kspec: DegreeSpec, family: WeightFamily,
-                     seed: int, *, approximate: bool = False,
-                     term_cap: int = 10 ** 7):
+                     seed: int):
     """Draw (assignment, graph) from the partition-function-tilted pair law.
 
-    Exact mode draws the assignment with mass proportional to the expected
-    graph weight given the degree sequence (by enumeration), then plants a
-    graph around it.  Approximate mode returns a uniform ground truth with
-    its planted graph, tagged as contiguity-approximate.
+    The assignment is drawn with mass proportional to the expected graph
+    weight given the degree sequence (by enumeration), then a graph is
+    planted around it.  Past desk size this raises ``CapExceeded``; there,
+    a uniform ground truth with its planted graph (``sample_planted``, or
+    ``factorcavity sample --kind planted``) stands in for the pair by
+    contiguity.
     """
-    seq = sample_degree_sequence(n, dspec, kspec, seed)
-    child = int(substream(seed, 3).integers(2 ** 62))
-    if approximate:
-        sigma = uniform_assignment(n, family.q, substream(seed, 4))
-        g = sample_planted(seq, sigma, family, 0, child)
-        g.meta["nishimori_mode"] = "approximate"
-        return sigma, g
-
     from . import exact
 
+    seq = sample_degree_sequence(n, dspec, kspec, seed)
+    child = int(substream(seed, 3).integers(2 ** 62))
     n_states = family.q ** n
     cost = n_states * family.q ** seq.total_factor_degree
-    if cost > term_cap:
-        from .errors import CapExceeded
-        raise CapExceeded("exact assignment tilting", cost, term_cap)
+    if cost > exact.PAIRING_TERM_CAP:
+        raise CapExceeded("exact assignment tilting (for a uniform ground truth "
+                          "use sample --kind planted)", cost, exact.PAIRING_TERM_CAP)
     weights = np.empty(n_states)
     for s, sigma in enumerate(_all_assignments(n, family.q)):
         weights[s] = exact.expected_weight(seq, family, sigma)
@@ -947,27 +959,20 @@ def _all_assignments(n: int, q: int):
 
 
 def pin(g: FactorGraph, theta: int, seed: int, *, mode: str = "direct",
-        window: float = 10.0, variables: Optional[Sequence[int]] = None) -> FactorGraph:
+        window: float = 10.0) -> FactorGraph:
     """Append hard unary pins to a graph.
 
-    direct mode pins exactly ``theta`` named variables (default: the first
-    theta) to uniformly random spins.  budgeted mode draws a pin budget
-    uniformly from (0, window), includes each variable independently with
-    probability budget/n, and pins the included set to a Boltzmann sample of
-    the unpinned graph.  The pinned partition function counts only
+    direct mode pins the first ``theta`` variables to uniformly random
+    spins.  budgeted mode draws a pin budget uniformly from (0, window),
+    includes each variable independently with probability budget/n, and pins
+    the included set to a Boltzmann sample of the unpinned graph.  The pinned partition function counts only
     assignments consistent with every pin.
     """
     if mode == "direct":
         if not 0 <= theta <= g.n:
             raise ValueError("theta must be between 0 and n")
-        if variables is None:
-            variables = range(theta)
-        variables = list(variables)
-        if len(variables) != theta:
-            raise ValueError("exactly theta variables must be named")
-        rng = substream(seed, 20)
-        spins = rng.integers(0, g.q, size=theta)
-        return g.with_pins((int(v), int(s)) for v, s in zip(variables, spins))
+        spins = substream(seed, 20).integers(0, g.q, size=theta)
+        return g.with_pins(enumerate(spins))
     if mode == "budgeted":
         from . import exact
 

@@ -191,16 +191,17 @@ def kspin_log_normalizer(model: ModelSpec, table_ids: Sequence[int]) -> float:
 
 
 def lrc_threshold(beta: float, kspec: DegreeSpec, d_grid: Sequence[float], seed: int,
-                  *, r: int = 6, pop_size: int = bethe.DEFAULT_POPULATION,
+                  *, pop_size: int = bethe.DEFAULT_POPULATION,
                   sweeps: int = bethe.DEFAULT_SWEEPS, samples: int = bethe.DEFAULT_SAMPLES):
     """Bracket the mean degree where pair correlations stop vanishing.
 
-    Scans the degree grid and compares the functional's best value against
-    ln 2; returns the scan result with a one-step bracket.
+    Scans the degree grid of the ``kspin`` model at its default coupling
+    discretisation, compares the functional's best value against ln 2, and
+    returns the scan result with a one-step bracket.
     """
 
     def family(d):
-        return kspin(beta, kspec, r, d=d)
+        return kspin(beta, kspec, d=d)
 
     return bethe.threshold_scan(family, d_grid, comparator=math.log(2.0), seed=seed,
                                 pop_size=pop_size, sweeps=sweeps, samples=samples)

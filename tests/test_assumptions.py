@@ -35,6 +35,17 @@ def test_check_sym_witness_on_biased_table():
     assert dev > 0.4
 
 
+@pytest.mark.parametrize("family", [models.sbm(3, 1.3, 4).family,
+                                    models.kspin(0.7, K23, r=3, d=2.0).family,
+                                    models.ldgm(0.1, D2, K23).family])
+def test_check_sym_reads_the_compiled_constant(family):
+    rep = assumptions.check_sym(family)
+    values = np.concatenate([rows.ravel() for rows in family.marginal_sums().values()])
+    assert rep.passed and rep.witness is None
+    assert rep.info["xi"] == float(values.mean()) == family.xi()
+    assert rep.info["spread"] == rep.detail == float(values.max() - values.min())
+
+
 def test_check_sym_permutation_invariant():
     fam = models.sbm(3, 1.3, 4).family
     a = assumptions.check_sym(fam)

@@ -55,6 +55,26 @@ def test_check_negative_table_is_runtime_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_sample_rejects_arity_zero_factors(capsys):
+    rc = run_cli(["sample", "--model", "ldgm", "--eta", "0.2", "--dspec", "2",
+                  "--kspec", "0:0.5,2:0.5", "--n", "10"])
+    assert rc == 2
+    assert "arity at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--model", "sbm", "--q", "2", "--beta", "1", "--d", "3", "--workers", "2"],
+    ["sample", "--model", "sbm", "--q", "2", "--beta", "1", "--d", "3", "--n", "6",
+     "--kind", "nishimori", "--approximate"],
+    ["selftest", "--workers", "2"],
+])
+def test_unread_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_sample_round_trips_through_exact(tmp_path, capsys):
     rc = run_cli(["sample", "--model", "ldgm", "--eta", "0.2", "--dspec", "2",
                   "--kspec", "2", "--n", "6", "--seed", "3",

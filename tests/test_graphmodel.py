@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2, poisson
 
 from factorcavity import bethe, exact, models
-from factorcavity.errors import AttemptsExhausted, ZeroMean
+from factorcavity.errors import AttemptsExhausted, CapExceeded, ZeroMean
 from factorcavity.graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
                                      WeightFamily, pair_uniform, pin,
                                      sample_degree_sequence, sample_nishimori,
@@ -242,6 +242,33 @@ def test_null_single_table_weights_deterministic():
     fam = WeightFamily.constant(2, [2], value=1.5)
     g = sample_null(4, D2, K2, fam, seed=0)
     assert set(g.factor_tables) == {0}
+
+
+def test_weight_family_rejects_arity_zero():
+    with pytest.raises(ValueError, match="arity"):
+        WeightFamily(q=2, tables={0: (np.array(1.0),)}, masses={0: [1.0]})
+    with pytest.raises(ValueError, match="arity"):
+        models.ldgm(0.2, D2, DegreeSpec.from_mapping({0: 0.5, 2: 0.5}))
+
+
+@pytest.mark.parametrize("model", [
+    models.sbm(2, 3.0, 3),
+    models.ldgm(0.2, DegreeSpec.constant(3), DegreeSpec.from_mapping({2: 0.5, 3: 0.5})),
+    models.kspin(1.0, DegreeSpec.from_mapping({2: 0.5, 3: 0.5}), d=3.0),
+], ids=["sbm", "ldgm-mixed", "kspin-72-tables"])
+def test_null_tables_match_per_factor_choice(model):
+    # the reference is one Generator.choice(p=masses) call per factor, in
+    # factor order: the same tables, and the generator left in the same state
+    for seed in range(3):
+        g = sample_null(2000, model.dspec, model.kspec, model.family, seed)
+        wrng = substream(seed, 2)
+        loop = tuple(int(wrng.choice(model.family.n_tables(len(fv)),
+                                     p=model.family.masses[len(fv)]))
+                     for fv in g.factor_vars)
+        assert g.factor_tables == loop
+        once = substream(seed, 2)
+        once.random(g.m)
+        assert once.bit_generator.state == wrng.bit_generator.state
 
 
 def test_null_label_frequency_is_half():
@@ -516,10 +543,10 @@ def test_nishimori_beta_zero_assignment_is_uniform():
     assert np.abs(weights - 1.0).max() < 1e-12
 
 
-def test_nishimori_approximate_mode_tagged():
-    fam = models.ldgm(0.1, D2, K2).family
-    sigma, g = sample_nishimori(3, D2, K2, fam, 11, approximate=True)
-    assert g.meta["nishimori_mode"] == "approximate"
+def test_nishimori_cap_points_to_planted_kind():
+    fam = models.sbm(2, 1.5, 3).family
+    with pytest.raises(CapExceeded, match="--kind planted"):
+        sample_nishimori(12, DegreeSpec.constant(3), K2, fam, 0)
 
 
 def test_nishimori_sigma_law_sbm():
