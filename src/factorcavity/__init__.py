@@ -23,7 +23,7 @@ from .graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
                          WeightFamily, pair_uniform, pin, sample_degree_sequence,
                          sample_nishimori, sample_null, sample_planted,
                          sample_pruned_sequence, uniform_assignment)
-from .models import (ModelSpec, build_model, kspin, kspin_log_normalizer, ldgm,
+from .models import (ModelSpec, kspin, kspin_log_normalizer, ldgm,
                      ldgm_channel, lrc_threshold, potts, sbm)
 from .assumptions import (CheckReport, check_all, check_bal, check_deg,
                           check_pos, check_sym)

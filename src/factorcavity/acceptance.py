@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assumptions, bethe, exact, models
-from .graphmodel import DegreeSpec, DegreeSequence, FactorGraph
+from .graphmodel import DegreeSpec, DegreeSequence, FactorGraph, pin
 from .io import csv_body
 from .rng import substream
 
@@ -225,14 +225,19 @@ def random_tree_graph(model, n_target: int, seed: int) -> FactorGraph:
 
 @_timed
 def criterion_9_bp_trees(seed: int) -> CriterionResult:
-    """Sum-product is exact on trees for all three models."""
+    """Sum-product is exact on trees for all three models.
+
+    The families are spin-symmetric, so without pins uniform messages are
+    exact on any tree; two pins per tree make the messages carry information.
+    """
     worst = 0.0
     specs = [models.ldgm(0.2, _D2, _K23),
              models.sbm(3, 1.0, 3),
              models.kspin(1.0, _K23, r=4, d=2.0)]
     for s_idx, model in enumerate(specs):
         for t_idx in range(2):
-            g = random_tree_graph(model, 10, seed + 17 * s_idx + t_idx)
+            tree_seed = seed + 17 * s_idx + t_idx
+            g = pin(random_tree_graph(model, 10, tree_seed), 2, tree_seed)
             state = exact.bp_run(g, max_iters=400, damping=0.0, tol=1e-13)
             summary = exact.partition_function(g)
             worst = max(worst,

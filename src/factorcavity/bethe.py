@@ -31,7 +31,7 @@ DEFAULT_SAMPLES = 20_000
 DEFAULT_POS_TRIALS = 200
 
 _CHUNK = 1 << 13
-# population points rewritten per population-dynamics batch
+# the largest population-dynamics batch, reached from 1021 points on
 _BATCH = 256
 
 
@@ -276,11 +276,12 @@ def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
     """Iterate the planted distributional update on a colour-labelled population.
 
     Point i has the fixed colour i mod q.  One sweep replaces every point
-    once, in random order and in batches that read the pre-batch
-    population: a new point of colour s is the normalised product of
-    excess-degree many planted messages rooted at s.  ``uniform-perturbed``
-    starts every point near the uniform vector; ``planted-polarized``
-    starts each point near the corner of its own colour.
+    once, in random order and in batches of at most a quarter of the
+    population that read the pre-batch population: a new point of colour s
+    is the normalised product of excess-degree many planted messages rooted
+    at s.  ``uniform-perturbed`` starts every point near the uniform vector;
+    ``planted-polarized`` starts each point near the corner of its own
+    colour.
     """
     if pop_size < 100:
         raise ValueError("population size must be at least 100")
@@ -290,10 +291,13 @@ def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
     pop = SimplexPopulation(_initial_population(colours, q, init, rng), label=init)
     excess = _excess_degree_law(model.dspec)
     khat = size_biased(model.kspec)
+    # at least four batches per sweep: one synchronous update of the whole
+    # population leaves the Nishimori line (docs/notes.md)
+    batch = min(_BATCH, -(-pop_size // 4))
     for sweep in range(iters):
         order = rng.permutation(pop_size)
-        for start in range(0, pop_size, _BATCH):
-            targets = order[start:start + _BATCH]
+        for start in range(0, pop_size, batch):
+            targets = order[start:start + batch]
             dstar = excess.sample(rng, len(targets))
             roots = np.repeat(colours[targets], dstar)
             _, messages = _planted_messages(model, pop, khat, roots, rng)

@@ -56,7 +56,11 @@ class ExperimentConfig:
         unknown = sorted(set(self.budget) - set(_BUDGET_KEYS))
         if unknown:
             raise ConfigError(f"unknown budget keys {unknown}; known: {list(_BUDGET_KEYS)}")
-        if any(int(v) <= 0 for v in self.budget.values() if isinstance(v, (int, float))):
+        try:
+            self.budget = {key: int(val) for key, val in self.budget.items()}
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ConfigError(f"budget entries must be numbers: {err}") from err
+        if any(v <= 0 for v in self.budget.values()):
             raise ConfigError("budget entries must be positive")
         name = self.model.get("name")
         if name not in models.MODELS:
@@ -94,16 +98,8 @@ def _mi_point(payload):
     config_dict, value, index = payload
     config = ExperimentConfig(**config_dict)
     model = _grid_model(config, value)
-    budget = config.budget
     child = int(substream(config.seed, 200, index).integers(2 ** 62))
-    result = bethe.mutual_information(
-        model,
-        seed=child,
-        pop_size=int(budget.get("pop_size", bethe.DEFAULT_POPULATION)),
-        sweeps=int(budget.get("sweeps", bethe.DEFAULT_SWEEPS)),
-        samples=int(budget.get("samples", bethe.DEFAULT_SAMPLES)),
-        pos_trials=int(budget.get("pos_trials", bethe.DEFAULT_POS_TRIALS)),
-    )
+    result = bethe.mutual_information(model, seed=child, **config.budget)
     return (value, result.value, result.stderr, result.information_term,
             result.sup.value, result.sup.stderr, result.sup.tag)
 
@@ -120,17 +116,9 @@ def run_mi_scan(config: ExperimentConfig, workers: int):
 
 
 def run_threshold(config: ExperimentConfig):
-    budget = config.budget
-    scan = bethe.threshold_scan(
-        lambda v: _grid_model(config, v),
-        config.grid_values,
-        comparator=config.comparator,
-        seed=config.seed,
-        pop_size=int(budget.get("pop_size", bethe.DEFAULT_POPULATION)),
-        sweeps=int(budget.get("sweeps", bethe.DEFAULT_SWEEPS)),
-        samples=int(budget.get("samples", bethe.DEFAULT_SAMPLES)),
-    )
-    return scan
+    budget = {key: val for key, val in config.budget.items() if key != "pos_trials"}
+    return bethe.threshold_scan(lambda v: _grid_model(config, v), config.grid_values,
+                                comparator=config.comparator, seed=config.seed, **budget)
 
 
 def _scan_rows(rows):
@@ -172,17 +160,17 @@ def _manifest(operation: str, inputs, seed, started: float, rows: int) -> dict:
     }
 
 
-def _emit(args, csv_text: Optional[str], manifest: dict, payload=None):
+def _emit(args, text: Optional[str], manifest: dict, payload=None, suffix=".csv"):
     base = args.out
     if base:
-        if csv_text is not None:
-            io.write_text(base + ".csv", csv_text)
+        if text is not None:
+            io.write_text(base + suffix, text)
         io.write_json(base + ".manifest.json", manifest)
         if payload is not None:
             io.write_json(base + ".json", payload)
     else:
-        if csv_text is not None:
-            sys.stdout.write(csv_text)
+        if text is not None:
+            sys.stdout.write(text)
         if payload is not None:
             json.dump(io.canonical(payload), sys.stdout, indent=2, sort_keys=True)
             sys.stdout.write("\n")
@@ -210,7 +198,9 @@ def _parse_spec_flag(text: str):
 def _model_from_args(args) -> models.ModelSpec:
     if args.config:
         raw = io.load_config(args.config)
-        return io.model_from_config(raw["model"] if "model" in raw else raw)
+        if "model" not in raw:
+            raise ConfigError(f"{args.config} has no 'model' section")
+        return io.model_from_config(raw["model"])
     if not args.model:
         raise ConfigError("either --config or --model is required")
     node = {"name": args.model}
@@ -279,63 +269,53 @@ def _short(witness) -> str:
     return text if len(text) <= 200 else text[:200] + "..."
 
 
-def cmd_sample(args) -> int:
-    model = _model_from_args(args)
-    started = time.time()
-    meta = {}
-    if args.kind == "null":
-        g = sample_null(args.n, model.dspec, model.kspec, model.family, args.seed)
-    elif args.kind == "planted":
-        seq = sample_degree_sequence(args.n, model.dspec, model.kspec, args.seed)
-        sigma = uniform_assignment(args.n, model.q, substream(args.seed, 5))
-        g = sample_planted(seq, sigma, model.family, args.theta, args.seed)
-        meta["sigma"] = sigma.tolist()
-    else:
-        sigma, g = sample_nishimori(args.n, model.dspec, model.kspec, model.family,
-                                    args.seed)
-        meta["sigma"] = sigma.tolist()
-    text = g.to_text()
-    if args.out:
-        io.write_text(args.out + ".graph.txt", text)
-        manifest = _manifest("sample", io.model_to_config(model), args.seed, started, rows=g.m)
-        manifest.update(meta)
-        io.write_json(args.out + ".manifest.json", manifest)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def _graph_for_oracle(args, model) -> FactorGraph:
-    if args.graph:
+def _graph(args, model):
+    """The graph a subcommand works on: read from ``--graph`` or sampled by
+    ``--kind``, with {"sigma": ground truth} when it was planted."""
+    if getattr(args, "graph", None):
         with open(args.graph, "r", encoding="utf-8") as fh:
-            return FactorGraph.from_text(fh.read(), model.family)
+            return FactorGraph.from_text(fh.read(), model.family), {}
+    if args.kind == "null":
+        return sample_null(args.n, model.dspec, model.kspec, model.family, args.seed), {}
     if args.kind == "planted":
         seq = sample_degree_sequence(args.n, model.dspec, model.kspec, args.seed)
         sigma = uniform_assignment(args.n, model.q, substream(args.seed, 5))
-        return sample_planted(seq, sigma, model.family, args.theta, args.seed)
-    return sample_null(args.n, model.dspec, model.kspec, model.family, args.seed)
+        g = sample_planted(seq, sigma, model.family, args.theta, args.seed)
+    else:
+        sigma, g = sample_nishimori(args.n, model.dspec, model.kspec, model.family,
+                                    args.seed)
+    return g, {"sigma": sigma.tolist()}
+
+
+def cmd_sample(args) -> int:
+    model = _model_from_args(args)
+    started = time.time()
+    g, truth = _graph(args, model)
+    manifest = _manifest("sample", io.model_to_config(model), args.seed, started, rows=g.m)
+    manifest.update(truth)
+    _emit(args, g.to_text(), manifest, suffix=".graph.txt")
+    return 0
 
 
 def cmd_exact(args) -> int:
     model = _model_from_args(args)
     started = time.time()
-    g = _graph_for_oracle(args, model)
+    g, _ = _graph(args, model)
     summary = exact.partition_function(g, want_pairs=args.two_point)
     payload = {
         "log_z": summary.log_z,
         "marginals": summary.marginals,
         "two_point": summary.two_point,
     }
-    record = io.result_record("exact", io.model_to_config(model), args.seed,
-                              summary.log_z, runtime=time.time() - started)
-    _emit(args, None, record, payload)
+    manifest = _manifest("exact", io.model_to_config(model), args.seed, started, rows=g.n)
+    _emit(args, None, manifest, payload)
     return 0
 
 
 def cmd_bp(args) -> int:
     model = _model_from_args(args)
     started = time.time()
-    g = _graph_for_oracle(args, model)
+    g, _ = _graph(args, model)
     state = exact.bp_run(g, max_iters=args.max_iters, damping=args.damping,
                          tol=args.tol)
     payload = {
@@ -350,9 +330,8 @@ def cmd_bp(args) -> int:
         payload["log_z_exact"] = summary.log_z
         payload["marginal_error"] = float(
             np.abs(exact.bp_marginals(state) - summary.marginals).max())
-    record = io.result_record("bp", io.model_to_config(model), args.seed,
-                              payload["bethe"], runtime=time.time() - started)
-    _emit(args, None, record, payload)
+    manifest = _manifest("bp", io.model_to_config(model), args.seed, started, rows=g.n)
+    _emit(args, None, manifest, payload)
     return 0
 
 
@@ -370,10 +349,9 @@ def cmd_bethe(args) -> int:
         "heuristic_sup": sup.heuristic,
         "candidates": {k: list(v) for k, v in sup.candidates.items()},
     }
-    record = io.result_record("bethe", io.model_to_config(model), args.seed,
-                              sup.value, stderr=sup.stderr,
-                              runtime=time.time() - started)
-    _emit(args, None, record, payload)
+    manifest = _manifest("bethe", io.model_to_config(model), args.seed, started,
+                         rows=len(sup.candidates))
+    _emit(args, None, manifest, payload)
     return 0
 
 

@@ -62,6 +62,8 @@ class DegreeSpec:
 
     def __post_init__(self):
         support = tuple(int(v) for v in self.support)
+        if support != tuple(self.support):
+            raise ValueError(f"degrees must be integers, got {tuple(self.support)}")
         mass = tuple(float(p) for p in self.mass)
         if len(support) != len(mass) or not support:
             raise ValueError("support and mass must be parallel, nonempty")

@@ -1,9 +1,10 @@
-"""Structured configs, graph text files, and result records.
+"""Structured configs, graph text files, and run manifests.
 
-Configs are YAML (key-value with nested tables).  Weight tables travel as
-flat arrays in row-major (lexicographic) spin order.  Numeric results emit
-as JSON records carrying an input digest and seed, and as CSV rows under a
-versioned schema header for sweep experiments.
+Configs are YAML (key-value with nested tables).  A model config is
+``{name: <registered model>, <its constructor's keyword arguments>}``, with
+degree specs in any form :func:`degree_spec_from_config` reads.  Every
+command writes one JSON manifest keyed by an input digest and the seed;
+sweep rows emit as CSV under a versioned schema header.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .graphmodel import DegreeSpec, WeightFamily
-from .models import ModelSpec, build_model
+from .graphmodel import DegreeSpec
+from .models import MODELS, ModelSpec
 
 CSV_SCHEMA = "# factor-cavity schema v1"
 
@@ -48,7 +49,7 @@ def degree_spec_from_config(node) -> DegreeSpec:
     if not isinstance(node, Mapping):
         raise ConfigError(f"cannot read a degree spec from {node!r}")
     if "constant" in node:
-        return DegreeSpec.constant(int(node["constant"]))
+        return DegreeSpec.constant(node["constant"])
     if "poisson" in node:
         sub = node["poisson"]
         kwargs = {}
@@ -68,67 +69,30 @@ def degree_spec_to_config(spec: DegreeSpec) -> dict:
     return {"support": list(spec.support), "mass": list(spec.mass)}
 
 
-def weight_family_from_config(node: Mapping) -> WeightFamily:
-    """{q: int, arities: {k: {tables: [flat...], masses: [...], labels: [...]}}}"""
-    try:
-        q = int(node["q"])
-        tables = {}
-        masses = {}
-        labels = {}
-        for k, sub in node["arities"].items():
-            k = int(k)
-            tables[k] = tuple(np.asarray(t, dtype=float).reshape((q,) * k)
-                              for t in sub["tables"])
-            masses[k] = np.asarray(sub["masses"], dtype=float)
-            if "labels" in sub:
-                labels[k] = tuple(sub["labels"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"malformed weight family config: {err}") from err
-    return WeightFamily(q=q, tables=tables, masses=masses,
-                        labels=labels or None)
-
-
-def weight_family_to_config(family: WeightFamily) -> dict:
-    arities = {}
-    for k in family.arities:
-        arities[int(k)] = {
-            "tables": [t.ravel().tolist() for t in family.tables[k]],
-            "masses": family.masses[k].tolist(),
-        }
-        if family.labels and k in family.labels:
-            arities[int(k)]["labels"] = list(family.labels[k])
-    return {"q": family.q, "arities": arities}
-
-
 def model_from_config(node: Mapping) -> ModelSpec:
-    """Build a registered model from {name: ..., <param flags>}."""
-    if not isinstance(node, Mapping) or "name" not in node:
-        raise ConfigError("model config needs a 'name'")
-    params = dict(node)
-    name = params.pop("name")
-    for key in ("dspec", "kspec"):
-        if key in params:
-            params[key] = degree_spec_from_config(params[key])
+    """Build ``MODELS[name](**params)`` from {name: ..., **params}."""
+    name = node.get("name") if isinstance(node, Mapping) else None
+    if not isinstance(name, str) or name not in MODELS:
+        raise ConfigError(f"model config needs a registered 'name'; known: {sorted(MODELS)}")
+    params = {k: v for k, v in node.items() if k != "name"}
     try:
-        return build_model(name, **params)
-    except (KeyError, TypeError, ValueError) as err:
+        for key in ("dspec", "kspec"):
+            if key in params:
+                params[key] = degree_spec_from_config(params[key])
+        return MODELS[name](**params)
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"cannot build model '{name}': {err}") from err
 
 
 def model_to_config(model: ModelSpec) -> dict:
-    out = {"name": model.name}
-    for key, val in model.params.items():
-        out[key] = val
-    if model.name == "ldgm":
-        out["dspec"] = degree_spec_to_config(model.dspec)
-        out["kspec"] = degree_spec_to_config(model.kspec)
-    if model.name == "kspin":
-        out["kspec"] = degree_spec_to_config(model.kspec)
-    return out
+    """The node :func:`model_from_config` rebuilds ``model`` from."""
+    return {"name": model.name,
+            **{key: degree_spec_to_config(val) if isinstance(val, DegreeSpec) else val
+               for key, val in model.params.items()}}
 
 
 # ---------------------------------------------------------------------------
-# records
+# manifests
 # ---------------------------------------------------------------------------
 
 
@@ -149,20 +113,6 @@ def canonical(obj):
 def inputs_digest(inputs) -> str:
     payload = json.dumps(canonical(inputs), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def result_record(operation: str, inputs, seed, value, stderr=None,
-                  runtime=None, **extra) -> dict:
-    rec = {
-        "operation": operation,
-        "inputs_digest": inputs_digest(inputs),
-        "seed": seed,
-        "value": value,
-        "stderr": stderr,
-        "runtime_s": runtime,
-    }
-    rec.update(extra)
-    return canonical(rec)
 
 
 def format_float(x) -> str:

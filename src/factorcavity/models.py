@@ -22,7 +22,11 @@ from .rng import substream
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """A named model: alphabet, degree specs, weight family, parameters."""
+    """A named model: alphabet, degree specs, weight family, parameters.
+
+    ``params`` are exactly the keyword arguments that rebuild the model
+    through ``MODELS[name]``.
+    """
 
     name: str
     q: int
@@ -63,7 +67,7 @@ def ldgm(eta: float, dspec: DegreeSpec, kspec: DegreeSpec) -> ModelSpec:
         labels[k] = ("J=+1", "J=-1")
     family = WeightFamily(q=2, tables=tables, masses=masses, labels=labels)
     return ModelSpec(name="ldgm", q=2, dspec=dspec, kspec=kspec, family=family,
-                     params={"eta": eta})
+                     params={"eta": eta, "dspec": dspec, "kspec": kspec})
 
 
 def ldgm_channel(g: FactorGraph, x, eta: float, seed: int) -> np.ndarray:
@@ -90,17 +94,17 @@ def sbm(q: int, beta: float, d: int, *, assortative: bool = False) -> ModelSpec:
     convexity falsifier but is not a valid input to the variational
     pipeline, which will reject it.
     """
+    dspec = DegreeSpec.constant(d)
+    q, beta, d = int(q), float(beta), dspec.support[0]
     if q < 2 or d < 3 or beta < 0:
         raise ValueError("need q >= 2, d >= 3, beta >= 0")
     sign = 1.0 if assortative else -1.0
     table = np.exp(sign * beta * np.eye(q))
     family = WeightFamily(q=q, tables={2: (table,)}, masses={2: np.array([1.0])},
                           labels={2: ("same-colour" if assortative else "distinct-colour",)})
-    name = "sbm-assortative" if assortative else "sbm"
-    return ModelSpec(name=name, q=q, dspec=DegreeSpec.constant(d),
-                     kspec=DegreeSpec.constant(2), family=family,
-                     params={"q": q, "beta": beta, "d": d,
-                             "assortative": assortative})
+    return ModelSpec(name="sbm", q=q, dspec=dspec, kspec=DegreeSpec.constant(2),
+                     family=family,
+                     params={"q": q, "beta": beta, "d": d, "assortative": assortative})
 
 
 def potts(q: int, beta: float, d: int) -> ModelSpec:
@@ -112,7 +116,9 @@ def potts(q: int, beta: float, d: int) -> ModelSpec:
     locates the null model's condensation point on the planted family.
     """
     spec = sbm(q, beta, d)
-    return replace(spec, name="potts",
+    params = dict(spec.params)
+    del params["assortative"]
+    return replace(spec, name="potts", params=params,
                    extras={"target": "null-model quenched free entropy"})
 
 
@@ -160,6 +166,7 @@ def kspin(beta: float, kspec: DegreeSpec, r: int = 6, *,
     convention.  The variable degree is Poisson with mean ``d`` (truncated
     and renormalised), defaulting to E[k].
     """
+    beta = float(beta)
     if beta <= 0:
         raise ValueError("inverse temperature must be positive")
     if 2 not in kspec.support:
@@ -178,7 +185,7 @@ def kspin(beta: float, kspec: DegreeSpec, r: int = 6, *,
     mean_degree = float(d) if d is not None else kspec.mean
     dspec = DegreeSpec.poisson(mean_degree)
     return ModelSpec(name="kspin", q=2, dspec=dspec, kspec=kspec, family=family,
-                     params={"beta": beta, "r": r, "d": mean_degree},
+                     params={"beta": beta, "kspec": kspec, "r": r, "d": mean_degree},
                      extras={"levels": levels, "level_masses": level_masses,
                              "log_cosh": np.log(np.cosh(beta * levels))})
 
@@ -213,32 +220,3 @@ MODELS = {
     "potts": potts,
     "kspin": kspin,
 }
-
-
-def build_model(name: str, **params) -> ModelSpec:
-    """Build a registered model from flat keyword parameters.
-
-    Degree parameters accept either DegreeSpec objects or plain numbers
-    (constants); ``ldgm`` also accepts mappings {degree: mass}.
-    """
-    if name not in MODELS:
-        raise ValueError(f"unknown model '{name}'; known: {sorted(MODELS)}")
-    if name == "ldgm":
-        dspec = _as_spec(params.pop("dspec"))
-        kspec = _as_spec(params.pop("kspec"))
-        return ldgm(params.pop("eta"), dspec, kspec, **params)
-    if name in ("sbm", "potts"):
-        return MODELS[name](int(params.pop("q")), float(params.pop("beta")),
-                            int(params.pop("d")), **params)
-    if name == "kspin":
-        kspec = _as_spec(params.pop("kspec"))
-        return kspin(float(params.pop("beta")), kspec, **params)
-    raise AssertionError
-
-
-def _as_spec(value) -> DegreeSpec:
-    if isinstance(value, DegreeSpec):
-        return value
-    if isinstance(value, dict):
-        return DegreeSpec.from_mapping(value)
-    return DegreeSpec.constant(int(value))

@@ -279,6 +279,21 @@ def test_dynamics_requires_minimum_population():
         bethe.population_dynamics(_flat_model(), pop_size=10, iters=1)
 
 
+@pytest.mark.parametrize("beta", [1.0, 2.5, 4.0])
+def test_dynamics_stays_on_nishimori_line_at_small_populations(beta):
+    # a population of at most 256 points was once one synchronous update per
+    # sweep, which drifted off the line: barycenter up to 0.55 from uniform
+    # and a planted-form value above ln q
+    model = models.sbm(3, beta, 5)
+    for pop_size in (100, 200, 256):
+        for init in ("uniform-perturbed", "planted-polarized"):
+            pop = bethe.population_dynamics(model, pop_size=pop_size, iters=100,
+                                            init=init, seed=1)
+            assert np.abs(pop.points.mean(axis=0) - 1.0 / 3).max() <= 0.05
+            est = bethe.bethe_estimate(pop, model, samples=3000, seed=2)
+            assert est.value <= math.log(3)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.floats(0.1, 2.5), st.integers(0, 1000), st.sampled_from(
     ["uniform-perturbed", "planted-polarized"]))
@@ -419,6 +434,7 @@ def test_lrc_bracket_reproducible_across_seeds():
 # (model, init) -> (sum of the first spin column, first two points,
 # estimate value, estimate stderr) for 5 sweeps of 200 points, seed 3,
 # and a 3000-sample estimate, seed 4; recorded with the planted-tree draw
+# and batches of a quarter of the population
 _SEEDED_PD = {
     ("ldgm", "uniform-perturbed"): (
         100.0,
@@ -426,30 +442,30 @@ _SEEDED_PD = {
          [0.5, 0.5]],
         0.6931471805599454, 2.0273185627517274e-18),
     ("ldgm", "planted-polarized"): (
-        99.99773742459702,
-        [[0.5002963972517358, 0.49970360274826425],
-         [0.49995247560002337, 0.5000475243999766]],
-        0.6931471805549919, 5.400002351875681e-12),
+        100.0000036096239,
+        [[0.5000000000000009, 0.49999999999999906],
+         [0.5000000059305236, 0.49999999406947643]],
+        0.6931471805599454, 3.157891681642199e-18),
     ("kspin", "uniform-perturbed"): (
-        99.99327905098306,
-        [[0.49999999999964495, 0.500000000000355],
-         [0.49999999967560405, 0.500000000324396]],
-        0.6931471336468841, 3.582970074201852e-07),
+        99.99358256764319,
+        [[0.49991078908692843, 0.5000892109130716],
+         [0.5000000007439751, 0.4999999992560249]],
+        0.6931472693007483, 6.026013138626719e-08),
     ("kspin", "planted-polarized"): (
-        98.35490403506164,
-        [[0.5404433506325921, 0.45955664936740787],
-         [0.4522344347982735, 0.5477655652017264]],
-        0.6927213269007294, 0.0005323801339300072),
+        100.14525568755097,
+        [[0.5481296035616176, 0.4518703964383825],
+         [0.5144362934646444, 0.48556370653535563]],
+        0.6928619721802406, 0.00017042989063959055),
     ("sbm", "uniform-perturbed"): (
-        60.26923215361188,
-        [[0.2931125303960204, 0.4279251653832822, 0.2789623042206975],
-         [0.2969533843592267, 0.4663024592141847, 0.23674415642658855]],
-        0.36904125682640876, 0.00034241999722092113),
+        66.62826749266607,
+        [[0.33042820669535317, 0.3326565088088974, 0.33691528449574937],
+         [0.3265136560931622, 0.3293539956554398, 0.34413234825139805]],
+        0.18559454579468668, 4.655015763591805e-05),
     ("sbm", "planted-polarized"): (
-        38.790780003539936,
-        [[0.4651433590492326, 0.13787888840877657, 0.39697775254199075],
-         [0.12031500258540609, 0.5110465733933269, 0.36863842402126706]],
-        0.4781965643183445, 0.008299478817623315),
+        67.2962612703945,
+        [[0.6102125853844509, 0.1839426537757357, 0.2058447608398135],
+         [0.47027102070133436, 0.06228796335515044, 0.4674410159435152]],
+        0.18219170910269547, 0.0044142411706787135),
 }
 
 # model -> (sum of the first spin column of the BP marginals, marginals of

@@ -22,13 +22,9 @@ def test_check_ldgm_passes(capsys):
     assert "POS: pass (no-violation-found" in out
 
 
-def test_check_fails_on_broken_symmetry(tmp_path, capsys):
-    cfg = {
-        "model": None,  # placeholder; direct family configs are not models
-    }
+def test_check_fails_on_broken_symmetry(capsys):
     # a family whose table is positive but slot-biased: SYM must fail
     table = [1.2, 1.2, 0.3, 0.3]
-    node = {"name": "ldgm", "eta": 0.25, "dspec": 2, "kspec": 2}
     # go through the assumptions checker via a hand-built family instead
     from factorcavity import assumptions
     from factorcavity.graphmodel import WeightFamily
@@ -53,6 +49,22 @@ def test_check_negative_table_is_runtime_error(tmp_path, capsys):
     path.write_text(yaml.safe_dump(bad))
     rc = run_cli(["check", "--config", str(path)])
     assert rc == 2
+
+
+def test_model_config_needs_model_section(tmp_path, capsys):
+    path = tmp_path / "bare.yaml"
+    path.write_text(yaml.safe_dump({"name": "sbm", "q": 2, "beta": 1.0, "d": 3}))
+    assert run_cli(["check", "--config", str(path)]) == 2
+    assert "no 'model' section" in capsys.readouterr().err
+    path.write_text(yaml.safe_dump({"model": {"name": "sbm", "q": 2, "beta": 1.0, "d": 3}}))
+    assert run_cli(["check", "--config", str(path), "--pos-trials", "10"]) == 0
+
+
+def test_non_integral_degree_is_runtime_error(capsys):
+    rc = run_cli(["bethe", "--model", "sbm", "--q", "2", "--beta", "1", "--d", "3.5",
+                  "--pop-size", "150", "--sweeps", "2", "--samples", "100"])
+    assert rc == 2
+    assert "integers" in capsys.readouterr().err
 
 
 def test_sample_rejects_arity_zero_factors(capsys):
@@ -223,6 +235,18 @@ def test_config_rejects_unknown_budget_keys():
         config.validate()
     config.budget = {"pop_size": 200, "sweeps": 5, "samples": 100, "pos_trials": 10}
     assert config.validate() is config
+
+
+def test_config_budget_values_are_numbers():
+    from factorcavity.errors import ConfigError
+
+    config = cli.ExperimentConfig(operation="mi-scan", model={"name": "ldgm"},
+                                  grid_param="eta", grid_values=[0.1],
+                                  budget={"pop_size": "many"})
+    with pytest.raises(ConfigError, match="numbers"):
+        config.validate()
+    config.budget = {"pop_size": 200.0, "sweeps": 5}
+    assert config.validate().budget == {"pop_size": 200, "sweeps": 5}
 
 
 def test_config_file_rejects_unknown_top_level_keys(tmp_path):

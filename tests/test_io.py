@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import yaml
 
-from factorcavity import io, models
+from factorcavity import cli, io, models
 from factorcavity.errors import ConfigError
-from factorcavity.graphmodel import DegreeSpec
+from factorcavity.graphmodel import DegreeSpec, WeightFamily
 
 
 def test_degree_spec_forms():
@@ -27,26 +27,47 @@ def test_degree_spec_round_trip():
     assert again.mass == spec.mass
 
 
-def test_weight_family_round_trip():
-    fam = models.ldgm(0.2, DegreeSpec.constant(2),
-                      DegreeSpec.from_mapping({2: 0.5, 3: 0.5})).family
-    cfg = io.weight_family_to_config(fam)
-    again = io.weight_family_from_config(cfg)
-    for k in fam.arities:
-        for i in range(fam.n_tables(k)):
-            assert np.array_equal(again.table(k, i), fam.table(k, i))
-        assert np.array_equal(again.masses[k], fam.masses[k])
-    # flat arrays use row-major spin order
-    flat = cfg["arities"][2]["tables"][0]
-    assert flat[0] == fam.table(2, 0)[0, 0]
-    assert flat[1] == fam.table(2, 0)[0, 1]
-
-
 def test_weight_family_rejects_nonpositive():
-    cfg = {"q": 2, "arities": {2: {"tables": [[1.0, 1.0, 1.0, -0.5]],
-                                   "masses": [1.0]}}}
-    with pytest.raises((ConfigError, ValueError)):
-        io.weight_family_from_config(cfg)
+    table = np.array([[1.0, 1.0], [1.0, -0.5]])
+    with pytest.raises(ValueError):
+        WeightFamily(q=2, tables={2: (table,)}, masses={2: [1.0]})
+
+
+def test_degree_spec_rejects_non_integral_degrees():
+    with pytest.raises(ValueError, match="integers"):
+        io.degree_spec_from_config({"support": [1.5, 2], "mass": [0.5, 0.5]})
+    with pytest.raises(ValueError, match="integers"):
+        io.degree_spec_from_config({"constant": 2.5})
+    assert io.degree_spec_from_config({"constant": 3.0}).support == (3,)
+    with pytest.raises(ConfigError, match="integers"):
+        io.model_from_config({"name": "sbm", "q": 2, "beta": 1.0, "d": 3.5})
+
+
+_FIVE_FORMS = [
+    models.ldgm(0.3, DegreeSpec.constant(2), DegreeSpec.from_mapping({2: 0.5, 3: 0.5})),
+    models.sbm(3, 0.5, 4),
+    models.sbm(2, 1.0, 3, assortative=True),
+    models.potts(2, 1.0, 3),
+    models.kspin(1.0, DegreeSpec.from_mapping({2: 0.5, 3: 0.5}), r=3, d=1.5),
+]
+
+
+@pytest.mark.parametrize("model", _FIVE_FORMS,
+                         ids=["ldgm", "sbm", "sbm-assortative", "potts", "kspin"])
+def test_every_model_form_round_trips(model):
+    node = io.model_to_config(model)
+    assert node["name"] in models.MODELS
+    again = io.model_from_config(yaml.safe_load(yaml.safe_dump(node)))
+    assert again.name == model.name and again.q == model.q
+    assert again.params.keys() == model.params.keys()
+    for key, val in model.params.items():
+        assert again.params[key] == val, key
+    for spec in ("dspec", "kspec"):
+        assert getattr(again, spec) == getattr(model, spec)
+    for k in model.family.arities:
+        assert np.array_equal(again.family.masses[k], model.family.masses[k])
+        for i in range(model.family.n_tables(k)):
+            assert np.array_equal(again.family.table(k, i), model.family.table(k, i))
 
 
 def test_model_round_trip(tmp_path):
@@ -70,11 +91,12 @@ def test_model_config_errors():
 
 
 def test_records_and_digests():
-    a = io.result_record("exact", {"n": 4, "model": "sbm"}, 7, 1.25, stderr=0.1)
-    b = io.result_record("exact", {"model": "sbm", "n": 4}, 7, 1.25, stderr=0.1)
-    assert a["inputs_digest"] == b["inputs_digest"]
-    c = io.result_record("exact", {"n": 5, "model": "sbm"}, 7, 1.25)
-    assert c["inputs_digest"] != a["inputs_digest"]
+    a = io.inputs_digest({"n": 4, "model": {"name": "sbm", "q": 2}})
+    assert a == io.inputs_digest({"model": {"q": 2, "name": "sbm"}, "n": 4})
+    assert a != io.inputs_digest({"n": 5, "model": {"name": "sbm", "q": 2}})
+    assert a != io.inputs_digest({"n": 4, "model": {"name": "sbm", "q": 3}})
+    manifest = cli._manifest("exact", {"model": {"name": "sbm", "q": 2}, "n": 4}, 7, 0.0, 1)
+    assert manifest["inputs_digest"] == a and manifest["seed"] == 7
 
 
 def test_csv_body_deterministic():

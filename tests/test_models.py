@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from factorcavity import assumptions, exact, models
+from factorcavity import assumptions, exact, io, models
+from factorcavity.errors import ConfigError
 from factorcavity.graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
                                      WeightFamily, sample_degree_sequence,
                                      sample_null, sample_planted)
@@ -226,14 +227,21 @@ def test_ldgm_pos_regression_grid():
 
 
 def test_build_model_registry():
-    m = models.build_model("ldgm", eta=0.2, dspec=2, kspec={2: 0.5, 3: 0.5})
+    m = io.model_from_config({"name": "ldgm", "eta": 0.2, "dspec": 2,
+                              "kspec": {2: 0.5, 3: 0.5}})
     assert m.name == "ldgm" and m.kspec.support == (2, 3)
-    m = models.build_model("sbm", q=3, beta=0.5, d=4)
+    m = io.model_from_config({"name": "sbm", "q": 3, "beta": 0.5, "d": 4})
     assert m.q == 3
-    m = models.build_model("kspin", beta=1.0, kspec=2, r=3, d=1.5)
+    m = io.model_from_config({"name": "kspin", "beta": 1.0, "kspec": 2, "r": 3, "d": 1.5})
     assert m.params["d"] == 1.5
-    with pytest.raises(ValueError):
-        models.build_model("nope")
+    with pytest.raises(ConfigError):
+        io.model_from_config({"name": "nope"})
+
+
+def test_sbm_rejects_non_integral_degree():
+    with pytest.raises(ValueError, match="integers"):
+        models.sbm(2, 1.0, 3.5)
+    assert models.sbm(2, 1.0, 3.0).params["d"] == 3
 
 
 def test_lrc_no_crossing_near_zero_coupling():
