@@ -281,7 +281,10 @@ def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
     is the normalised product of excess-degree many planted messages rooted
     at s.  ``uniform-perturbed`` starts every point near the uniform vector;
     ``planted-polarized`` starts each point near the corner of its own
-    colour.
+    colour.  A run stops early after a sweep that leaves every point at
+    exactly 1/q when the family makes that atom an exact fixed point
+    (``WeightFamily.uniform_is_fixed``): each later sweep would write the
+    same bits again.  ``generation`` counts the sweeps run.
     """
     if pop_size < 100:
         raise ValueError("population size must be at least 100")
@@ -309,6 +312,8 @@ def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
                 raise NumericalUnderflow("point normaliser underflowed")
             pop.points[targets] = new_pts / norms
         pop.generation += 1
+        if model.family.uniform_is_fixed and np.all(pop.points == 1.0 / q):
+            break
     return pop
 
 

@@ -271,12 +271,17 @@ def _short(witness) -> str:
 
 def _graph(args, model):
     """The graph a subcommand works on: read from ``--graph`` or sampled by
-    ``--kind``, with {"sigma": ground truth} when it was planted."""
+    ``--kind``, with {"sigma": ground truth} when it was planted, and the
+    inputs that fix it for the manifest digest."""
+    inputs = {"model": io.model_to_config(model)}
     if getattr(args, "graph", None):
         with open(args.graph, "r", encoding="utf-8") as fh:
-            return FactorGraph.from_text(fh.read(), model.family), {}
+            inputs["graph"] = fh.read()
+        return FactorGraph.from_text(inputs["graph"], model.family), {}, inputs
+    inputs.update(n=args.n, kind=args.kind, theta=args.theta)
     if args.kind == "null":
-        return sample_null(args.n, model.dspec, model.kspec, model.family, args.seed), {}
+        g = sample_null(args.n, model.dspec, model.kspec, model.family, args.seed)
+        return g, {}, inputs
     if args.kind == "planted":
         seq = sample_degree_sequence(args.n, model.dspec, model.kspec, args.seed)
         sigma = uniform_assignment(args.n, model.q, substream(args.seed, 5))
@@ -284,14 +289,14 @@ def _graph(args, model):
     else:
         sigma, g = sample_nishimori(args.n, model.dspec, model.kspec, model.family,
                                     args.seed)
-    return g, {"sigma": sigma.tolist()}
+    return g, {"sigma": sigma.tolist()}, inputs
 
 
 def cmd_sample(args) -> int:
     model = _model_from_args(args)
     started = time.time()
-    g, truth = _graph(args, model)
-    manifest = _manifest("sample", io.model_to_config(model), args.seed, started, rows=g.m)
+    g, truth, inputs = _graph(args, model)
+    manifest = _manifest("sample", inputs, args.seed, started, rows=g.m)
     manifest.update(truth)
     _emit(args, g.to_text(), manifest, suffix=".graph.txt")
     return 0
@@ -300,14 +305,14 @@ def cmd_sample(args) -> int:
 def cmd_exact(args) -> int:
     model = _model_from_args(args)
     started = time.time()
-    g, _ = _graph(args, model)
+    g, _, inputs = _graph(args, model)
     summary = exact.partition_function(g, want_pairs=args.two_point)
     payload = {
         "log_z": summary.log_z,
         "marginals": summary.marginals,
         "two_point": summary.two_point,
     }
-    manifest = _manifest("exact", io.model_to_config(model), args.seed, started, rows=g.n)
+    manifest = _manifest("exact", inputs, args.seed, started, rows=g.n)
     _emit(args, None, manifest, payload)
     return 0
 
@@ -315,7 +320,7 @@ def cmd_exact(args) -> int:
 def cmd_bp(args) -> int:
     model = _model_from_args(args)
     started = time.time()
-    g, _ = _graph(args, model)
+    g, _, inputs = _graph(args, model)
     state = exact.bp_run(g, max_iters=args.max_iters, damping=args.damping,
                          tol=args.tol)
     payload = {
@@ -330,7 +335,7 @@ def cmd_bp(args) -> int:
         payload["log_z_exact"] = summary.log_z
         payload["marginal_error"] = float(
             np.abs(exact.bp_marginals(state) - summary.marginals).max())
-    manifest = _manifest("bp", io.model_to_config(model), args.seed, started, rows=g.n)
+    manifest = _manifest("bp", inputs, args.seed, started, rows=g.n)
     _emit(args, None, manifest, payload)
     return 0
 

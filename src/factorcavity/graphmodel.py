@@ -399,6 +399,20 @@ class WeightFamily:
                 out[sel] = grid @ table.T
         return out[:, 0] if closed else out
 
+    @cached_property
+    def uniform_is_fixed(self) -> bool:
+        """Whether :meth:`contract` on uniform points gives, for every arity,
+        table and open slot, a message with bitwise-equal components, so that
+        the uniform atom is an exact floating-point fixed point of
+        population dynamics."""
+        for k, tabs in self.tables.items():
+            tables, slots = np.divmod(np.arange(len(tabs) * k), k)
+            points = np.full((len(slots), k - 1, self.q), 1.0 / self.q)
+            messages = self.contract(np.full(len(slots), k), tables, points, slots)
+            if np.any(messages != messages[:, :1]):
+                return False
+        return True
+
     def permuted_alphabet(self, perm: Sequence[int]) -> "WeightFamily":
         """The family with spins relabeled by perm (used in symmetry tests)."""
         perm = np.asarray(perm)

@@ -305,6 +305,50 @@ def test_dynamics_preserves_simplex(beta, seed, init):
     assert pop.points.min() > 0.0
 
 
+def test_dynamics_stops_at_the_exact_uniform_atom():
+    def ldgm():
+        return models.ldgm(0.3, DegreeSpec.constant(6), DegreeSpec.constant(3))
+
+    model = ldgm()
+    assert model.family.uniform_is_fixed
+    pop = bethe.population_dynamics(model, 2000, 100, "uniform-perturbed", seed=0)
+    assert pop.generation < 100
+    assert np.all(pop.points == 0.5)
+    again = bethe.population_dynamics(model, 2000, pop.generation, "uniform-perturbed",
+                                      seed=0)
+    assert again.generation == pop.generation
+    assert np.array_equal(again.points, pop.points)
+    # the same run with the stop disarmed sweeps 100 times to the same bits
+    full_model = ldgm()
+    full_model.family.__dict__["uniform_is_fixed"] = False
+    full = bethe.population_dynamics(full_model, 2000, 100, "uniform-perturbed", seed=0)
+    assert full.generation == 100
+    assert np.array_equal(full.points, pop.points)
+    a = bethe.bethe_estimate(pop, model, samples=3000, seed=1)
+    b = bethe.bethe_estimate(full, full_model, samples=3000, seed=1)
+    assert (a.value, a.stderr) == (b.value, b.stderr)
+
+
+def test_dynamics_runs_every_sweep_off_the_uniform_atom():
+    model = models.sbm(2, 3.0, 3)
+    assert model.family.uniform_is_fixed
+    pop = bethe.population_dynamics(model, 500, 30, "planted-polarized", seed=0)
+    assert pop.generation == 30
+
+
+def test_dynamics_runs_every_sweep_when_uniform_is_not_exact():
+    # SYM holds to 1e-12, but a uniform contraction differs in the last bits
+    fam = WeightFamily(q=2, tables={2: (np.array([[1 + 2e-12, 1.0], [1.0, 1 + 1e-12]]),)},
+                       masses={2: np.array([1.0])})
+    fam.xi()
+    assert not fam.uniform_is_fixed
+    model = ModelSpec(name="near-flat", q=2, dspec=DegreeSpec.constant(3), kspec=K2,
+                      family=fam)
+    for init in ("uniform-perturbed", "planted-polarized"):
+        pop = bethe.population_dynamics(model, 200, 40, init, seed=0)
+        assert pop.generation == 40
+
+
 # ---------------------------------------------------------------------------
 # supremum search and mutual information
 # ---------------------------------------------------------------------------

@@ -115,6 +115,36 @@ def test_sample_planted_records_ground_truth(tmp_path):
     assert len(manifest["sigma"]) == 4
 
 
+def test_graph_commands_hash_their_graph_inputs(tmp_path):
+    ldgm = ["--model", "ldgm", "--eta", "0.2", "--dspec", "2", "--kspec", "2"]
+    sbm = ["--model", "sbm", "--q", "2", "--beta", "0.7", "--d", "3"]
+    runs = {
+        "n8": ["exact", *ldgm, "--n", "8"],
+        "n10": ["exact", *ldgm, "--n", "10"],
+        "n10-again": ["exact", *ldgm, "--n", "10"],
+        "null": ["bp", *sbm, "--n", "6", "--kind", "null"],
+        "planted": ["bp", *sbm, "--n", "6", "--kind", "planted"],
+        "theta0": ["sample", *sbm, "--n", "6", "--kind", "planted"],
+        "theta2": ["sample", *sbm, "--n", "6", "--kind", "planted", "--theta", "2"],
+    }
+    digests = {}
+
+    def run(name, argv):
+        assert run_cli(argv + ["--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        digests[name] = manifest["inputs_digest"]
+
+    for name, argv in runs.items():
+        run(name, argv)
+    run("graph-unpinned", ["exact", *sbm, "--graph", str(tmp_path / "theta0.graph.txt")])
+    run("graph-pinned", ["exact", *sbm, "--graph", str(tmp_path / "theta2.graph.txt")])
+    assert digests["n8"] != digests["n10"]
+    assert digests["n10"] == digests["n10-again"]
+    assert digests["null"] != digests["planted"]
+    assert digests["theta0"] != digests["theta2"]
+    assert digests["graph-unpinned"] != digests["graph-pinned"]
+
+
 def test_bp_command(tmp_path):
     rc = run_cli(["bp", "--model", "sbm", "--q", "2", "--beta", "0.5", "--d", "3",
                   "--n", "6", "--seed", "1", "--damping", "0.0",
