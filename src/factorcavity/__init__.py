@@ -17,14 +17,13 @@ from .bethe import (BetheEstimate, MIResult, ScanResult, SimplexPopulation,
                     threshold_scan)
 from .exact import (BoltzmannSummary, BPState, bethe_instance, boltzmann_sample,
                     bp_marginals, bp_run, expected_weight, information_term,
-                    kl_density, mi_monte_carlo, nishimori_check,
+                    mi_monte_carlo, nishimori_check,
                     partition_function, two_point)
 from .graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
                          WeightFamily, pair_uniform, pin, sample_degree_sequence,
                          sample_nishimori, sample_null, sample_planted,
                          sample_pruned_sequence, uniform_assignment)
-from .models import (ModelSpec, kspin, kspin_log_normalizer, ldgm,
-                     ldgm_channel, lrc_threshold, potts, sbm)
+from .models import ModelSpec, kspin, ldgm, ldgm_channel, lrc_threshold, sbm
 from .assumptions import (CheckReport, check_all, check_bal, check_deg,
                           check_pos, check_sym)
 

@@ -247,7 +247,7 @@ def pos_margin(family: WeightFamily, k: int, pop_a, pop_b) -> float:
     return t1 + t2 - t3
 
 
-def check_pos(family: WeightFamily, trials: int = 1000, seed: int = 0) -> CheckReport:
+def check_pos(family: WeightFamily, *, trials: int, seed: int = 0) -> CheckReport:
     """Randomised falsifier for the three-term convexity inequality.
 
     Samples candidate population pairs (atoms, Dirichlet clouds, polarised
@@ -282,7 +282,7 @@ def check_pos(family: WeightFamily, trials: int = 1000, seed: int = 0) -> CheckR
 
 
 def check_all(dspec: DegreeSpec, kspec: DegreeSpec, family: WeightFamily,
-              *, pos_trials: int = 300, seed: int = 0) -> dict:
+              *, pos_trials: int, seed: int = 0) -> dict:
     """Run all four checkers; returns {name: CheckReport}."""
     return {
         "DEG": check_deg(dspec, kspec),

@@ -52,7 +52,6 @@ class SimplexPopulation:
 
     points: np.ndarray
     generation: int = 0
-    label: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -72,7 +71,7 @@ class SimplexPopulation:
 
     @classmethod
     def uniform_atom(cls, q: int) -> "SimplexPopulation":
-        return cls(np.full((q, q), 1.0 / q), label="uniform-atom")
+        return cls(np.full((q, q), 1.0 / q))
 
     def draw(self, rng: np.random.Generator, colours) -> np.ndarray:
         """One uniformly chosen point of colour ``colours[...]`` per entry,
@@ -291,7 +290,7 @@ def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
     q = model.q
     rng = substream(seed, 80)
     colours = np.arange(pop_size) % q
-    pop = SimplexPopulation(_initial_population(colours, q, init, rng), label=init)
+    pop = SimplexPopulation(_initial_population(colours, q, init, rng))
     excess = _excess_degree_law(model.dspec)
     khat = size_biased(model.kspec)
     # at least four batches per sweep: one synchronous update of the whole

@@ -223,7 +223,7 @@ def _add_model_flags(parser):
                         help="registered model name")
     parser.add_argument("--eta", type=float, help="flip probability (ldgm)")
     parser.add_argument("--beta", type=float, help="inverse temperature")
-    parser.add_argument("--q", type=int, help="alphabet size (sbm/potts)")
+    parser.add_argument("--q", type=int, help="alphabet size (sbm)")
     parser.add_argument("--d", type=float, help="mean variable degree")
     parser.add_argument("--r", type=int, help="coupling discretisation level (kspin)")
     parser.add_argument("--assortative", action="store_true",
@@ -258,8 +258,8 @@ def cmd_check(args) -> int:
         payload[name] = {"passed": rep.passed, "detail": rep.detail,
                          "info": {k: v for k, v in rep.info.items()
                                   if isinstance(v, (int, float, str, bool))}}
-    manifest = _manifest("check", io.model_to_config(model), args.seed, started,
-                         rows=len(reports))
+    inputs = {"model": io.model_to_config(model), "pos_trials": args.pos_trials}
+    manifest = _manifest("check", inputs, args.seed, started, rows=len(reports))
     _emit(args, None, manifest, payload)
     return 1 if failed else 0
 
@@ -306,6 +306,7 @@ def cmd_exact(args) -> int:
     model = _model_from_args(args)
     started = time.time()
     g, _, inputs = _graph(args, model)
+    inputs["two_point"] = args.two_point
     summary = exact.partition_function(g, want_pairs=args.two_point)
     payload = {
         "log_z": summary.log_z,
@@ -321,6 +322,7 @@ def cmd_bp(args) -> int:
     model = _model_from_args(args)
     started = time.time()
     g, _, inputs = _graph(args, model)
+    inputs.update(max_iters=args.max_iters, damping=args.damping, tol=args.tol)
     state = exact.bp_run(g, max_iters=args.max_iters, damping=args.damping,
                          tol=args.tol)
     payload = {
@@ -354,8 +356,9 @@ def cmd_bethe(args) -> int:
         "heuristic_sup": sup.heuristic,
         "candidates": {k: list(v) for k, v in sup.candidates.items()},
     }
-    manifest = _manifest("bethe", io.model_to_config(model), args.seed, started,
-                         rows=len(sup.candidates))
+    inputs = {"model": io.model_to_config(model), "pop_size": args.pop_size,
+              "sweeps": args.sweeps, "samples": args.samples}
+    manifest = _manifest("bethe", inputs, args.seed, started, rows=len(sup.candidates))
     _emit(args, None, manifest, payload)
     return 0
 

@@ -43,13 +43,6 @@ class BoltzmannSummary:
     pair_joint: Optional[np.ndarray] = None            # (n, n, q, q)
     two_point: Optional[float] = None
 
-    def pair_correlations(self) -> np.ndarray:
-        """Per-pair q x q joint minus product of marginals (needs pair data)."""
-        if self.pair_joint is None:
-            raise ValueError("run the enumeration with want_pairs=True")
-        prod = self.marginals[:, None, :, None] * self.marginals[None, :, None, :]
-        return self.pair_joint - prod
-
 
 def assignment_log_weight(g: FactorGraph, sigma) -> float:
     """log of the graph weight of one assignment; -inf if a pin is violated."""
@@ -496,19 +489,6 @@ def mi_monte_carlo(model, n: int, graphs: int, seed: int) -> MIMonteCarlo:
     info = information_term(model.family, model.kspec)
     coeff = model.dspec.mean / (xi * model.kspec.mean)
     return MIMonteCarlo(math.log(model.q) + coeff * info - phi.value, phi.stderr)
-
-
-def kl_density(model, n: int, graphs: int, seed: int) -> MIMonteCarlo:
-    """Leading term of KL(planted || null)/n: quenched minus annealed.
-
-    Estimates E[log Z(planted)]/n by exact log Z over sampled planted graphs
-    and subtracts the annealed free entropy density; the standard error is
-    that of the sampled mean.
-    """
-    from .bethe import annealed_free_entropy
-
-    phi = _planted_free_entropy(model, n, graphs, seed)
-    return MIMonteCarlo(phi.value - annealed_free_entropy(model), phi.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ MAX_DEGREE = 64
 SYM_TOL = 1e-9
 
 _SEQ_ATTEMPTS = 100_000
-_PAIRING_ATTEMPTS = 10_000
 # a Poisson law's support ends where less than this much mass lies beyond it
 _POISSON_TAIL = 1e-12
 
@@ -214,13 +213,12 @@ class WeightFamily:
 
     ``tables[k]`` is a tuple of arrays of shape ``(q,)*k`` in row-major
     (lexicographic) spin order; ``masses[k]`` are the corresponding choice
-    probabilities.  ``labels[k]`` carries optional human-readable names.
+    probabilities.
     """
 
     q: int
     tables: Mapping[int, tuple]
     masses: Mapping[int, np.ndarray]
-    labels: Optional[Mapping[int, tuple]] = None
 
     def __post_init__(self):
         if self.q < 1:
@@ -284,9 +282,6 @@ class WeightFamily:
     def table_total(self, k: int) -> float:
         """Sum over all spin tuples of the choice-averaged table."""
         return float(self.mean_table(k).sum())
-
-    def min_entry(self) -> float:
-        return min(float(t.min()) for tabs in self.tables.values() for t in tabs)
 
     def marginal_sums(self) -> dict:
         """All single-coordinate marginal sums q^{1-k} sum_{s: s_j=w} psi(s).
@@ -413,24 +408,6 @@ class WeightFamily:
                 return False
         return True
 
-    def permuted_alphabet(self, perm: Sequence[int]) -> "WeightFamily":
-        """The family with spins relabeled by perm (used in symmetry tests)."""
-        perm = np.asarray(perm)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(self.q)
-        tables = {}
-        for k, tabs in self.tables.items():
-            moved = []
-            for t in tabs:
-                arr = t
-                for axis in range(k):
-                    arr = np.take(arr, inv, axis=axis)
-                moved.append(arr)
-            tables[k] = tuple(moved)
-        return WeightFamily(q=self.q, tables=tables,
-                            masses={k: v.copy() for k, v in self.masses.items()},
-                            labels=self.labels)
-
 
 def _parity_tensor(k: int) -> np.ndarray:
     """prod of +-1 spins over {0,1}^k with 0 -> +1."""
@@ -555,9 +532,6 @@ class FactorGraph:
         object.__setattr__(g, "pins", self.pins + _checked_pins(extra, self.n, self.q))
         return g
 
-    def is_simple(self) -> bool:
-        return all(len(set(fv)) == len(fv) for fv in self.factor_vars)
-
     # -- serialization ------------------------------------------------------
 
     def to_text(self) -> str:
@@ -600,10 +574,6 @@ class FactorGraph:
         # the constructor has range-checked every neighbour against n
         object.__setattr__(g, "var_degrees", _int_tuple(g.realized_degrees()))
         return g
-
-
-# Assignments are plain integer arrays: spins[v] in [0, q) per variable.
-Assignment = np.ndarray
 
 
 def uniform_assignment(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
@@ -692,22 +662,12 @@ def _pair_topology(seq: DegreeSequence, rng: np.random.Generator) -> tuple:
     return _slot_vars(seq, order[:seq.total_factor_degree])
 
 
-def pair_uniform(seq: DegreeSequence, seed: int, *,
-                 simple_only: bool = False) -> FactorGraph:
-    """Configuration-model pairing; weights are unit tables over two spins.
-
-    With ``simple_only`` the draw is rejected until no factor touches the
-    same variable twice.
-    """
+def pair_uniform(seq: DegreeSequence, seed: int) -> FactorGraph:
+    """Configuration-model pairing; weights are unit tables over two spins."""
     family = WeightFamily.constant(2, sorted(set(seq.factor_arities)) or [1])
-    rng = substream(seed, 1)
-    for _ in range(_PAIRING_ATTEMPTS if simple_only else 1):
-        g = FactorGraph(family=family, var_degrees=seq.var_degrees,
-                        factor_vars=_pair_topology(seq, rng),
-                        factor_tables=(0,) * seq.m)
-        if not simple_only or g.is_simple():
-            return g
-    raise AttemptsExhausted("simple pairing", _PAIRING_ATTEMPTS)
+    return FactorGraph(family=family, var_degrees=seq.var_degrees,
+                       factor_vars=_pair_topology(seq, substream(seed, 1)),
+                       factor_tables=(0,) * seq.m)
 
 
 def sample_null(n: int, dspec: DegreeSpec, kspec: DegreeSpec, family: WeightFamily,
@@ -959,9 +919,7 @@ def sample_nishimori(n: int, dspec: DegreeSpec, kspec: DegreeSpec, family: Weigh
     probs = weights / weights.sum()
     pick = int(substream(seed, 4).choice(n_states, p=probs))
     sigma = np.array(np.unravel_index(pick, (family.q,) * n), dtype=np.int64)
-    g = sample_planted(seq, sigma, family, 0, child)
-    g.meta["nishimori_mode"] = "exact"
-    return sigma, g
+    return sigma, sample_planted(seq, sigma, family, 0, child)
 
 
 def _all_assignments(n: int, q: int):

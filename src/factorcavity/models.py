@@ -9,7 +9,7 @@ Spin index convention for two-spin models: index 0 is +1 (bit 0), index 1 is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,6 @@ class ModelSpec:
     kspec: DegreeSpec
     family: WeightFamily
     params: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.family.supports(self.kspec.support):
@@ -59,13 +58,11 @@ def ldgm(eta: float, dspec: DegreeSpec, kspec: DegreeSpec) -> ModelSpec:
     c = _snap(1.0 - 2.0 * eta)
     tables = {}
     masses = {}
-    labels = {}
     for k in kspec.support:
         par = _parity_tensor(k)
         tables[k] = (1.0 + c * par, 1.0 - c * par)
         masses[k] = np.array([0.5, 0.5])
-        labels[k] = ("J=+1", "J=-1")
-    family = WeightFamily(q=2, tables=tables, masses=masses, labels=labels)
+    family = WeightFamily(q=2, tables=tables, masses=masses)
     return ModelSpec(name="ldgm", q=2, dspec=dspec, kspec=kspec, family=family,
                      params={"eta": eta, "dspec": dspec, "kspec": kspec})
 
@@ -100,26 +97,10 @@ def sbm(q: int, beta: float, d: int, *, assortative: bool = False) -> ModelSpec:
         raise ValueError("need q >= 2, d >= 3, beta >= 0")
     sign = 1.0 if assortative else -1.0
     table = np.exp(sign * beta * np.eye(q))
-    family = WeightFamily(q=q, tables={2: (table,)}, masses={2: np.array([1.0])},
-                          labels={2: ("same-colour" if assortative else "distinct-colour",)})
+    family = WeightFamily(q=q, tables={2: (table,)}, masses={2: np.array([1.0])})
     return ModelSpec(name="sbm", q=q, dspec=dspec, kspec=DegreeSpec.constant(2),
                      family=family,
                      params={"q": q, "beta": beta, "d": d, "assortative": assortative})
-
-
-def potts(q: int, beta: float, d: int) -> ModelSpec:
-    """Same tables as :func:`sbm`, aimed at the null model's free entropy.
-
-    The quantity of interest is E[log Z] of the unplanted d-regular graph,
-    which coincides with the annealed value exactly while the planted
-    functional's supremum stays at the annealed value; the scanner therefore
-    locates the null model's condensation point on the planted family.
-    """
-    spec = sbm(q, beta, d)
-    params = dict(spec.params)
-    del params["assortative"]
-    return replace(spec, name="potts", params=params,
-                   extras={"target": "null-model quenched free entropy"})
 
 
 def _normal_cdf(x: float) -> float:
@@ -161,10 +142,10 @@ def kspin(beta: float, kspec: DegreeSpec, r: int = 6, *,
 
     Boltzmann factors exp(beta J prod(spins)) are stored in the normalised
     form 1 + tanh(beta J) prod(spins), which has unit marginal-sum constant
-    and the same Boltzmann measure; the per-level log normalisers
-    ln cosh(beta J) are kept so instance log Z maps back to the raw
-    convention.  The variable degree is Poisson with mean ``d`` (truncated
-    and renormalised), defaulting to E[k].
+    and the same Boltzmann measure; the raw instance log Z is the normalised
+    one plus ln cosh(beta J) summed over the factors' couplings.  The
+    variable degree is Poisson with mean ``d`` (truncated and renormalised),
+    defaulting to E[k].
     """
     beta = float(beta)
     if beta <= 0:
@@ -175,26 +156,15 @@ def kspin(beta: float, kspec: DegreeSpec, r: int = 6, *,
     tanh = np.array([_snap(math.tanh(beta * a)) for a in levels])
     tables = {}
     masses = {}
-    labels = {}
     for k in kspec.support:
         par = _parity_tensor(k)
         tables[k] = tuple(1.0 + t * par for t in tanh)
         masses[k] = level_masses.copy()
-        labels[k] = tuple(f"J={a:+.6g}" for a in levels)
-    family = WeightFamily(q=2, tables=tables, masses=masses, labels=labels)
+    family = WeightFamily(q=2, tables=tables, masses=masses)
     mean_degree = float(d) if d is not None else kspec.mean
     dspec = DegreeSpec.poisson(mean_degree)
     return ModelSpec(name="kspin", q=2, dspec=dspec, kspec=kspec, family=family,
-                     params={"beta": beta, "kspec": kspec, "r": r, "d": mean_degree},
-                     extras={"levels": levels, "level_masses": level_masses,
-                             "log_cosh": np.log(np.cosh(beta * levels))})
-
-
-def kspin_log_normalizer(model: ModelSpec, table_ids: Sequence[int]) -> float:
-    """Sum of ln cosh(beta J) over a graph's factors: add to the normalised
-    instance log Z to recover the raw Boltzmann convention."""
-    log_cosh = model.extras["log_cosh"]
-    return float(sum(log_cosh[i] for i in table_ids))
+                     params={"beta": beta, "kspec": kspec, "r": r, "d": mean_degree})
 
 
 def lrc_threshold(beta: float, kspec: DegreeSpec, d_grid: Sequence[float], seed: int,
@@ -217,6 +187,5 @@ def lrc_threshold(beta: float, kspec: DegreeSpec, d_grid: Sequence[float], seed:
 MODELS = {
     "ldgm": ldgm,
     "sbm": sbm,
-    "potts": potts,
     "kspin": kspin,
 }

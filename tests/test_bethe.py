@@ -227,11 +227,11 @@ def test_ldgm_mutual_information_at_most_log_two():
         assert mi.sup.tag == "pd-planted-polarized"
 
 
-def test_estimate_invariant_under_joint_relabeling():
+def test_estimate_invariant_under_joint_relabeling(permuted_alphabet):
     model = models.sbm(3, 1.1, 3)
     perm = [2, 0, 1]
     flipped = ModelSpec(name="sbm-perm", q=3, dspec=model.dspec, kspec=model.kspec,
-                        family=model.family.permuted_alphabet(perm))
+                        family=permuted_alphabet(model.family, perm))
     rng = substream(7, 0)
     pts = rng.dirichlet([1.0] * 3, size=300)
     pop = SimplexPopulation(pts)

@@ -87,6 +87,13 @@ def test_unread_flags_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_removed_model_name_is_rejected(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["bethe", "--model", "potts", "--q", "2", "--beta", "1", "--d", "3"])
+    assert err.value.code == 2
+    assert "invalid choice: 'potts'" in capsys.readouterr().err
+
+
 def test_sample_round_trips_through_exact(tmp_path, capsys):
     rc = run_cli(["sample", "--model", "ldgm", "--eta", "0.2", "--dspec", "2",
                   "--kspec", "2", "--n", "6", "--seed", "3",
@@ -143,6 +150,28 @@ def test_graph_commands_hash_their_graph_inputs(tmp_path):
     assert digests["null"] != digests["planted"]
     assert digests["theta0"] != digests["theta2"]
     assert digests["graph-unpinned"] != digests["graph-pinned"]
+
+
+_LDGM_FLAGS = ["--model", "ldgm", "--eta", "0.3", "--dspec", "2", "--kspec", "2"]
+
+
+@pytest.mark.parametrize("base, changes", [
+    (["bethe", *_LDGM_FLAGS, "--pop-size", "150", "--sweeps", "2", "--samples", "100"],
+     [["--pop-size", "160"], ["--sweeps", "3"], ["--samples", "200"]]),
+    (["bp", *_LDGM_FLAGS, "--n", "6"],
+     [["--max-iters", "50"], ["--damping", "0.25"], ["--tol", "1e-6"]]),
+    (["check", *_LDGM_FLAGS, "--pos-trials", "10"], [["--pos-trials", "20"]]),
+    (["exact", *_LDGM_FLAGS, "--n", "6"], [["--two-point"]]),
+], ids=["bethe", "bp", "check", "exact"])
+def test_output_flags_enter_the_digest(tmp_path, base, changes):
+    def digest(name, argv):
+        assert run_cli(argv + ["--out", str(tmp_path / name)]) == 0
+        return json.loads((tmp_path / f"{name}.manifest.json").read_text())["inputs_digest"]
+
+    first = digest("base", base)
+    assert digest("base-again", base) == first
+    for i, change in enumerate(changes):
+        assert digest(f"change{i}", base + change) != first, change
 
 
 def test_bp_command(tmp_path):

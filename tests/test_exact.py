@@ -6,7 +6,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import chi2
 
-from factorcavity import exact, models
+from factorcavity import bethe, exact, models
 from factorcavity.errors import CapExceeded
 from factorcavity.graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
                                      WeightFamily, pin, sample_degree_sequence,
@@ -243,12 +243,12 @@ def test_pair_correlations_field():
     fam = models.sbm(2, 1.0, 3).family
     g = sample_null(4, D2, K2, fam, seed=3)
     summary = exact.partition_function(g, want_pairs=True)
-    corr = summary.pair_correlations()
+    marg = summary.marginals
+    corr = summary.pair_joint - marg[:, None, :, None] * marg[None, :, None, :]
     assert corr.shape == (4, 4, 2, 2)
     # each pair block sums to zero: joint and product share the marginals
     assert np.abs(corr.sum(axis=(2, 3))).max() < 1e-12
-    with pytest.raises(ValueError):
-        exact.partition_function(g).pair_correlations()
+    assert exact.partition_function(g).pair_joint is None
 
 
 def test_two_point_weak_coupling_vanishes():
@@ -315,25 +315,31 @@ def test_mi_constant_weights_vanishes():
     assert abs(mc.value) <= max(3 * mc.stderr, 1e-10)
 
 
-def test_mi_invariant_under_relabeling():
+def test_mi_invariant_under_relabeling(permuted_alphabet):
     model = models.ldgm(0.3, D2, K2)
     flipped = models.ModelSpec(name="ldgm-flip", q=2, dspec=D2, kspec=K2,
-                               family=model.family.permuted_alphabet([1, 0]))
+                               family=permuted_alphabet(model.family, [1, 0]))
     a = exact.mi_monte_carlo(model, 8, 60, seed=3)
     b = exact.mi_monte_carlo(flipped, 8, 60, seed=3)
     assert a.value == pytest.approx(b.value, abs=1e-12)
 
 
+def _kl_leading_term(model, n, graphs, seed):
+    """Leading term of KL(planted || null)/n: quenched planted minus annealed."""
+    phi = exact._planted_free_entropy(model, n, graphs, seed)
+    return phi.value - bethe.annealed_free_entropy(model), phi.stderr
+
+
 def test_kl_density_zero_at_beta_zero():
     model = models.sbm(2, 0.0, 3)
-    assert exact.kl_density(model, 6, 20, seed=0).value == pytest.approx(0.0, abs=1e-12)
+    assert _kl_leading_term(model, 6, 20, seed=0)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_density_constant_weights_zero():
     fam = WeightFamily(q=2, tables={2: (np.full((2, 2), 1.3),)},
                        masses={2: np.array([1.0])})
     model = models.ModelSpec(name="flat", q=2, dspec=D2, kspec=K2, family=fam)
-    assert exact.kl_density(model, 6, 20, seed=0).value == pytest.approx(0.0, abs=1e-12)
+    assert _kl_leading_term(model, 6, 20, seed=0)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_density_plus_assignment_term_positive():
@@ -347,7 +353,7 @@ def test_kl_density_plus_assignment_term_positive():
                   for s in np.ndindex(*(2,) * n)])
     phat = w / w.sum()
     assignment_term = float(np.mean(-n * math.log(2) - np.log(phat))) / n
-    leading, stderr = exact.kl_density(model, n, 120, seed=1)
+    leading, stderr = _kl_leading_term(model, n, 120, seed=1)
     assert leading + assignment_term > 3 * stderr
 
 

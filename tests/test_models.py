@@ -30,7 +30,6 @@ def test_ldgm_tables():
     assert fam.table(2, 1)[0, 0] == pytest.approx(0.2, abs=1e-15)
     # one flipped spin flips the parity
     assert fam.table(2, 0)[0, 1] == pytest.approx(0.2, abs=1e-15)
-    assert fam.labels[2] == ("J=+1", "J=-1")
     assert np.allclose(fam.masses[2], 0.5)
 
 
@@ -122,13 +121,6 @@ def test_sbm_validation():
         models.sbm(2, -0.5, 3)
 
 
-def test_potts_shares_tables_bit_for_bit():
-    a = models.sbm(2, 1.3, 4)
-    b = models.potts(2, 1.3, 4)
-    assert np.array_equal(a.family.table(2, 0), b.family.table(2, 0))
-    assert b.extras["target"].startswith("null-model")
-
-
 # ---------------------------------------------------------------------------
 # discretised-coupling spin model
 # ---------------------------------------------------------------------------
@@ -136,9 +128,9 @@ def test_potts_shares_tables_bit_for_bit():
 
 def test_kspin_levels_symmetric():
     model = models.kspin(1.0, K23, r=6, d=2.0)
-    levels = model.extras["levels"]
-    masses = model.extras["level_masses"]
-    assert len(levels) == 2 * 36
+    levels, masses = models._coupling_levels(6)
+    assert model.family.n_tables(2) == len(levels) == 2 * 36
+    assert np.array_equal(model.family.masses[2], masses)
     order = np.argsort(levels)
     flipped = np.argsort(-levels)
     assert np.allclose(levels[order], -levels[flipped])
@@ -159,8 +151,9 @@ def test_coupling_level_masses_match_scipy(r):
 def test_kspin_min_entry():
     for beta, r in ((0.5, 6), (2.0, 4)):
         model = models.kspin(beta, K23, r=r, d=2.0)
-        assert model.family.min_entry() == pytest.approx(1 - math.tanh(beta * r),
-                                                         abs=1e-15)
+        min_entry = min(float(t.min()) for tabs in model.family.tables.values()
+                        for t in tabs)
+        assert min_entry == pytest.approx(1 - math.tanh(beta * r), abs=1e-15)
 
 
 def test_kspin_tanh_moment_approaches_quadrature():
@@ -172,9 +165,7 @@ def test_kspin_tanh_moment_approaches_quadrature():
                        -np.inf, np.inf)
     errors = []
     for r in (2, 4, 8):
-        model = models.kspin(beta, K23, r=r, d=2.0)
-        levels = model.extras["levels"]
-        masses = model.extras["level_masses"]
+        levels, masses = models._coupling_levels(r)
         discrete = float(np.dot(masses, np.tanh(beta * levels) ** 2))
         errors.append(discrete - gaussian)
     assert all(e > 0 for e in errors)
@@ -189,14 +180,14 @@ def test_kspin_log_normalizer_maps_to_raw_convention():
     model = models.kspin(beta, DegreeSpec.constant(2), r=3, d=2.0)
     seq = DegreeSequence((2, 2, 2), (2, 2, 2))
     g = sample_planted(seq, np.array([0, 1, 0]), model.family, 0, seed=4)
-    levels = model.extras["levels"]
+    levels, level_masses = models._coupling_levels(3)
     raw_tables = {2: tuple(np.exp(beta * a * _parity_tensor(2))
                            for a in levels)}
-    raw_fam = WeightFamily(q=2, tables=raw_tables,
-                           masses={2: model.extras["level_masses"]})
+    raw_fam = WeightFamily(q=2, tables=raw_tables, masses={2: level_masses})
     raw = FactorGraph(family=raw_fam, var_degrees=g.var_degrees,
                       factor_vars=g.factor_vars, factor_tables=g.factor_tables)
-    shift = models.kspin_log_normalizer(model, g.factor_tables)
+    # exp(beta J s) = cosh(beta J) (1 + tanh(beta J) s), factor by factor
+    shift = float(np.log(np.cosh(beta * levels))[list(g.factor_tables)].sum())
     assert exact.partition_function(raw).log_z == pytest.approx(
         exact.partition_function(g).log_z + shift, abs=1e-10)
 
