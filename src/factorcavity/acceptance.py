@@ -8,7 +8,6 @@ integrands make "within 3 SE" degenerate at machine precision).
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -205,22 +204,20 @@ def criterion_8_pos_falsifier(seed: int) -> CriterionResult:
 def random_tree_graph(model, n_target: int, seed: int) -> FactorGraph:
     """A random tree factor graph grown by attaching factors to fresh leaves."""
     rng = substream(seed, 99)
-    factor_vars = []
-    table_ids = []
+    edge_vars, arities, table_ids = [], [], []
     n = 1
     while n < n_target:
         k = int(model.kspec.sample(rng, 1)[0])
         if k < 2:
             continue
-        root = int(rng.integers(0, n))
-        fresh = list(range(n, n + k - 1))
+        edge_vars += [int(rng.integers(0, n)), *range(n, n + k - 1)]
         n += k - 1
-        factor_vars.append((root, *fresh))
+        arities.append(k)
         table_ids.append(int(rng.choice(model.family.n_tables(k),
                                         p=model.family.masses[k])))
-    ends = np.fromiter(itertools.chain.from_iterable(factor_vars), dtype=np.int64)
-    return FactorGraph(family=model.family, var_degrees=np.bincount(ends, minlength=n),
-                       factor_vars=factor_vars, factor_tables=table_ids)
+    degrees = np.bincount(np.asarray(edge_vars, dtype=np.int64), minlength=n)
+    return FactorGraph(family=model.family, var_degrees=degrees, edge_vars=edge_vars,
+                       arities=arities, tables=table_ids)
 
 
 @_timed

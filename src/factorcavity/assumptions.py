@@ -9,7 +9,7 @@ found", never a proof.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -88,12 +88,18 @@ def check_sym(family: WeightFamily) -> CheckReport:
 
 
 def _simplex_grid(q: int, resolution: int) -> np.ndarray:
-    """All probability vectors with entries multiples of 1/resolution."""
-    pts = []
-    for comp in itertools.combinations_with_replacement(range(q), resolution):
-        vec = np.bincount(comp, minlength=q) / resolution
-        pts.append(vec)
-    return np.asarray(pts)
+    """All probability vectors with entries multiples of 1/resolution, in
+    decreasing count of colour 0, then of colour 1, and so on."""
+
+    @functools.cache
+    def counts(colours, total):
+        # the count vectors of ``colours`` colours that sum to ``total``
+        if colours == 1:
+            return np.array([[total]], dtype=np.int64)
+        rest = np.concatenate([counts(colours - 1, t) for t in range(total + 1)])
+        return np.column_stack([total - rest.sum(axis=1), rest])
+
+    return counts(q, resolution) / resolution
 
 
 def _mean_poly(table: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -121,9 +127,9 @@ def check_bal(family: WeightFamily, grid_resolution: int = 64,
     worst = 0.0
     witness = None
     info = {}
+    grid = _simplex_grid(q, grid_resolution)
     for k in family.arities:
         mean_table = family.mean_table(k)
-        grid = _simplex_grid(q, grid_resolution)
         vals = _mean_poly(mean_table, grid)
         f_uniform = float(_mean_poly(mean_table, uniform[None])[0])
         gap = float(vals.max()) - f_uniform

@@ -28,8 +28,11 @@ from .graphmodel import (FactorGraph, sample_degree_sequence, sample_null,
 from .rng import substream
 
 WORKER_ENV = "FACTORCAVITY_WORKERS"
-_BUDGET_KEYS = ("pop_size", "sweeps", "samples", "pos_trials")
-_CONFIG_KEYS = ("model", "grid", "seed", "budget", "comparator", "workers")
+# the config and budget keys each sweep command reads
+_CONFIG_KEYS = {"mi-scan": ("model", "grid", "seed", "budget", "workers"),
+                "threshold": ("model", "grid", "seed", "budget", "comparator")}
+_BUDGET_KEYS = {"mi-scan": ("pop_size", "sweeps", "samples", "pos_trials"),
+                "threshold": ("pop_size", "sweeps", "samples")}
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +56,10 @@ class ExperimentConfig:
     def validate(self):
         if not self.grid_values:
             raise ConfigError("parameter grid must be nonempty")
-        unknown = sorted(set(self.budget) - set(_BUDGET_KEYS))
+        known = _BUDGET_KEYS[self.operation]
+        unknown = sorted(set(self.budget) - set(known))
         if unknown:
-            raise ConfigError(f"unknown budget keys {unknown}; known: {list(_BUDGET_KEYS)}")
+            raise ConfigError(f"unknown budget keys {unknown}; {self.operation} reads {known}")
         try:
             self.budget = {key: int(val) for key, val in self.budget.items()}
         except (TypeError, ValueError, OverflowError) as err:
@@ -72,9 +76,10 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, operation: str) -> "ExperimentConfig":
         raw = io.load_config(path)
-        unknown = sorted(map(str, set(raw) - set(_CONFIG_KEYS)))
+        known = _CONFIG_KEYS[operation]
+        unknown = sorted(map(str, set(raw) - set(known)))
         if unknown:
-            raise ConfigError(f"unknown config keys {unknown}; known: {list(_CONFIG_KEYS)}")
+            raise ConfigError(f"unknown config keys {unknown}; {operation} reads {known}")
         grid = raw.get("grid", {})
         return cls(
             operation=operation,
@@ -116,9 +121,9 @@ def run_mi_scan(config: ExperimentConfig, workers: int):
 
 
 def run_threshold(config: ExperimentConfig):
-    budget = {key: val for key, val in config.budget.items() if key != "pos_trials"}
     return bethe.threshold_scan(lambda v: _grid_model(config, v), config.grid_values,
-                                comparator=config.comparator, seed=config.seed, **budget)
+                                comparator=config.comparator, seed=config.seed,
+                                **config.budget)
 
 
 def _scan_rows(rows):
@@ -381,21 +386,18 @@ def cmd_threshold(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     started = time.time()
+    payload = error = None
     try:
         scan = run_threshold(config)
+        payload = {"bracket": list(scan.bracket), "crossing_param": scan.crossing_param}
     except NoCrossing as err:
-        columns, table = _scan_rows(err.rows)
-        manifest = _manifest("threshold", config.__dict__, config.seed, started,
-                             len(err.rows))
-        manifest["error"] = {"type": "NoCrossing", "message": str(err)}
-        _emit(args, io.csv_body(columns, table), manifest)
-        return 2
+        scan, error = err, {"type": "NoCrossing", "message": str(err)}
     columns, table = _scan_rows(scan.rows)
-    manifest = _manifest("threshold", config.__dict__, config.seed, started,
-                         len(scan.rows))
-    payload = {"bracket": list(scan.bracket), "crossing_param": scan.crossing_param}
+    manifest = _manifest("threshold", config.__dict__, config.seed, started, len(scan.rows))
+    if error:
+        manifest["error"] = error
     _emit(args, io.csv_body(columns, table), manifest, payload)
-    return 0
+    return 2 if error else 0
 
 
 def cmd_selftest(args) -> int:

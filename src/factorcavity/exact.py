@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .graphmodel import (DegreeSequence, FactorGraph, WeightFamily, _split,
-                         sample_degree_sequence, sample_planted,
+                         sample_degree_sequence, sample_planted, slot_layout,
                          uniform_assignment)
 from .rng import substream
 
@@ -61,19 +61,6 @@ def _state_digits(q: int, n: int, idx: np.ndarray) -> np.ndarray:
     return (idx[:, None] // q ** np.arange(n - 1, -1, -1, dtype=np.int64)) % q
 
 
-def _factor_slots(g: FactorGraph):
-    """Per-factor arity and table id, and the edge on each factor slot.
-
-    The slot matrix is (m, max arity); entries past a factor's arity repeat
-    a valid edge and are never read.
-    """
-    ks = g.arities
-    start = np.cumsum(ks) - ks
-    last_edge = max(int(ks.sum()) - 1, 0)
-    slots = np.minimum(start[:, None] + np.arange(ks.max(initial=0)), last_edge)
-    return ks, np.asarray(g.factor_tables, dtype=np.int64), slots
-
-
 def _log_weight_blocks(g: FactorGraph, cap: int):
     """Log weights of all states in lexicographic order, in blocks of the q^L
     states that share their n - L leading digits.  Flat table indices are
@@ -95,10 +82,10 @@ def _log_weight_blocks(g: FactorGraph, cap: int):
             flat = flat * q + digits[variables[:, slot]]
         return flat
 
-    ks, table_ids, slots = _factor_slots(g)
+    ks = g.arities
     pins = np.array(g.pins, dtype=np.int64).reshape(-1, 2)
     unary = np.where(np.eye(q, dtype=bool), 0.0, -np.inf).ravel()
-    groups = [(g.edge_vars[slots[ks == k, :k]], table_ids[ks == k],
+    groups = [(g.edge_vars[g.slots[ks == k, :k]], g.tables[ks == k],
                np.log(g.family.compiled.arity[k].flat).ravel())
               for k in np.flatnonzero(np.bincount(ks)).tolist()]
     # factors on trailing digits only are summed once, the rest in every block
@@ -545,13 +532,12 @@ def bp_run(g: FactorGraph, max_iters: int = 1000, damping: float = 0.5,
     n_edges = len(edge_var)
     q = g.q
     log_fields = np.where(_pin_fields(g) > 0, 0.0, -np.inf)[edge_var]
-    ks, tables, slots = _factor_slots(g)
     # edge e sits on slot open_slot[e] of factor factor_of[e]; the factor's
     # other slots feed its message, in slot order
-    factor_of = np.repeat(np.arange(g.m), ks)
-    open_slot = np.arange(n_edges) - np.repeat(np.cumsum(ks) - ks, ks)
-    pos = np.arange(slots.shape[1] - 1)
-    others = slots[factor_of[:, None], pos + (pos >= open_slot[:, None])]
+    factor_of, open_slot = slot_layout(g.arities)
+    pos = np.arange(g.slots.shape[1] - 1)
+    others = g.slots[factor_of[:, None], pos + (pos >= open_slot[:, None])]
+    ks, tables = g.arities[factor_of], g.tables[factor_of]
 
     v2f = np.full((n_edges, q), 1.0 / q)
     f2v = np.full((n_edges, q), 1.0 / q)
@@ -559,8 +545,7 @@ def bp_run(g: FactorGraph, max_iters: int = 1000, damping: float = 0.5,
     change = np.inf
     iters = 0
     for iters in range(1, max_iters + 1):
-        new_f2v = g.family.contract(ks[factor_of], tables[factor_of], v2f[others],
-                                    open_slot)
+        new_f2v = g.family.contract(ks, tables, v2f[others], open_slot)
         new_f2v = np.clip(new_f2v, 0.0, None)
         new_f2v /= new_f2v.sum(axis=1, keepdims=True)
 
@@ -603,10 +588,13 @@ def bethe_instance(state: BPState) -> float:
     """Instance Bethe free entropy at the current messages.
 
     Variable, factor and edge terms; exact log Z when the graph is a tree
-    and the messages are at the fixed point.
+    and the messages are at the fixed point.  A factor's mix is its message
+    at the last slot closed with that slot's incoming message.
     """
-    ks, tables, slots = _factor_slots(state.graph)
-    factor = np.log(state.graph.family.contract(ks, tables, state.var_to_fac[slots])).sum()
+    g, v2f = state.graph, state.var_to_fac
+    last = g.slots[np.arange(g.m), g.arities - 1]
+    messages = g.family.contract(g.arities, g.tables, v2f[g.slots], g.arities - 1)
+    factor = np.log((messages * v2f[last]).sum(axis=1)).sum()
     variable = np.log(_beliefs(state).sum(axis=1)).sum()
     edge = np.log((state.fac_to_var * state.var_to_fac).sum(axis=1)).sum()
     return float(factor + variable - edge)

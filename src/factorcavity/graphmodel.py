@@ -342,57 +342,45 @@ class WeightFamily:
         return CompiledFamily(arity, float(values.mean()),
                               float(values.max() - values.min()))
 
-    def contract(self, ks, tables, points: np.ndarray,
-                 open_slots=None) -> np.ndarray:
+    def contract(self, ks, tables, points: np.ndarray, open_slots) -> np.ndarray:
         """Contract weight tables with population points, one row per table use.
 
-        Row i takes table ``tables[i]`` of arity ``ks[i]`` and its slot
-        points from ``points[i]``, a (rows, width, q) array whose slots past
-        the row's own count are never read.  With ``open_slots`` the result
-        is the (rows, q) message at slot h = ``open_slots[i]``,
+        Row i takes table ``tables[i]`` of arity ``ks[i]`` and returns the
+        message at its slot h = ``open_slots[i]``,
 
             S(s) = sum_tau 1{tau_h = s} psi(tau) prod_{j != h} mu_j(tau_j),
 
-        fed by ``points[i, :k-1]`` for the other slots in order.  Without it
-        the result is the (rows,) closed mix sum_tau psi(tau) prod_j
-        mu_j(tau_j) over ``points[i, :k]``: the message at the last slot
-        contracted with one more point, sum_s S(s) mu_k(s).  Parity arities
-        use S(+-) = 1 +- c prod_j (mu_j(0) - mu_j(1)), which needs points on
-        the simplex; other arities are contracted in groups of rows sharing
-        a table and an open slot.
+        fed by ``points[i, :k-1]``, a (rows, width, q) array whose slots past
+        the row's own k - 1 are never read, for the other slots in order.
+        The closed mix sum_tau psi(tau) prod_j mu_j(tau_j) is the message at
+        the last slot contracted with that slot's point, sum_s S(s) mu_k(s).
+        Parity arities use S(+-) = 1 +- c prod_j (mu_j(0) - mu_j(1)), which
+        needs points on the simplex; other arities are contracted in groups
+        of rows sharing a table and an open slot.
         """
         ks = np.asarray(ks, dtype=np.int64)
         tables = np.asarray(tables, dtype=np.int64)
-        closed = open_slots is None
+        open_slots = np.asarray(open_slots, dtype=np.int64)
         q = self.q
-        out = np.empty((len(ks), 1 if closed else q))
+        out = np.empty((len(ks), q))
         for k in np.flatnonzero(np.bincount(ks)).tolist():
             form = self.compiled.arity[k]
             rows = np.flatnonzero(ks == k)
-            width = k if closed else k - 1
             if form.parity is not None:
-                bias = points[rows, :width, 0] - points[rows, :width, 1]
+                bias = points[rows, :k - 1, 0] - points[rows, :k - 1, 1]
                 cp = form.parity[tables[rows]] * np.prod(bias, axis=1)
-                if closed:
-                    out[rows, 0] = 1.0 + cp
-                else:
-                    out[rows] = np.stack([1.0 + cp, 1.0 - cp], axis=1)
+                out[rows] = np.stack([1.0 + cp, 1.0 - cp], axis=1)
                 continue
-            keys = tables[rows]
-            if not closed:
-                keys = keys * k + np.asarray(open_slots)[rows]
+            keys = tables[rows] * k + open_slots[rows]
             for key in np.flatnonzero(np.bincount(keys)).tolist():
                 sel = rows[keys == key]
-                if closed:
-                    table = form.flat[key][None]
-                else:
-                    t, h = divmod(key, k)
-                    table = np.moveaxis(form.flat[t].reshape((q,) * k), h, 0).reshape(q, -1)
+                t, h = divmod(key, k)
+                table = np.moveaxis(form.flat[t].reshape((q,) * k), h, 0).reshape(q, -1)
                 grid = np.ones((len(sel), 1))
-                for j in range(width):
+                for j in range(k - 1):
                     grid = (grid[:, :, None] * points[sel, j][:, None, :]).reshape(len(sel), -1)
                 out[sel] = grid @ table.T
-        return out[:, 0] if closed else out
+        return out
 
     @cached_property
     def uniform_is_fixed(self) -> bool:
@@ -455,6 +443,13 @@ def _split(values: list, sizes: Sequence[int]) -> tuple:
     return tuple(tuple(values[e - k:e]) for e, k in zip(itertools.accumulate(sizes), sizes))
 
 
+def slot_layout(arities: np.ndarray):
+    """The factor and the position within it of every slot, for slots listed
+    factor by factor and slot by slot."""
+    factor = np.repeat(np.arange(len(arities)), arities)
+    return factor, np.arange(len(factor)) - np.repeat(np.cumsum(arities) - arities, arities)
+
+
 def _checked_pins(pins, n: int, q: int) -> tuple:
     pins = tuple((int(v), int(s)) for v, s in pins)
     if not all(0 <= v < n and 0 <= s < q for v, s in pins):
@@ -466,40 +461,62 @@ def _checked_pins(pins, n: int, q: int) -> tuple:
 class FactorGraph:
     """A factor graph with clone-level pairing and optional pinned spins.
 
-    ``factor_vars[j]`` is the ordered tuple of variable ids on factor j's
-    slots; ``factor_tables[j]`` indexes the family's tables at that arity.
-    ``pins`` are hard unary indicator factors (variable, forced spin).
-    ``edge_vars`` is the variable on each slot, factor by factor and slot by
-    slot, and ``arities`` each factor's slot count, both int64 arrays; the
-    unmatched clones are ``var_degrees`` minus the realised degrees.
+    The topology is stored once, by slot: ``edge_vars`` is the variable on
+    each slot, factor by factor and slot by slot, ``arities`` each factor's
+    slot count and ``tables`` its index into the family's tables at that
+    arity, all read-only int64 arrays.  ``pins`` are hard unary indicator
+    factors (variable, forced spin); the unmatched clones are
+    ``var_degrees`` minus the realised degrees.  ``factor_vars`` and
+    ``factor_tables`` are tuple views of plain ints, built on first read.
     """
 
     family: WeightFamily
     var_degrees: tuple
-    factor_vars: tuple
-    factor_tables: tuple
+    edge_vars: np.ndarray
+    arities: np.ndarray
+    tables: np.ndarray
     pins: tuple = ()
     meta: dict = field(default_factory=dict)
-    edge_vars: np.ndarray = field(init=False, repr=False)
-    arities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.var_degrees)
-        factor_vars = tuple(map(tuple, self.factor_vars))
-        sizes = list(map(len, factor_vars))
-        flat = np.fromiter(itertools.chain.from_iterable(factor_vars), dtype=np.int64,
-                           count=sum(sizes))
-        flat.flags.writeable = False
         object.__setattr__(self, "var_degrees", _int_tuple(self.var_degrees))
-        object.__setattr__(self, "factor_vars", _split(flat.tolist(), sizes))
-        object.__setattr__(self, "factor_tables", _int_tuple(self.factor_tables))
         object.__setattr__(self, "pins", _checked_pins(self.pins, n, self.q))
-        object.__setattr__(self, "edge_vars", flat)
-        object.__setattr__(self, "arities", _frozen_ints(sizes))
-        if len(self.factor_vars) != len(self.factor_tables):
-            raise ValueError("factor tuples and table choices must be parallel")
-        if flat.size and (flat.min() < 0 or flat.max() >= n):
+        for name in ("edge_vars", "arities", "tables"):
+            object.__setattr__(self, name, _frozen_ints(getattr(self, name)))
+        if len(self.arities) != len(self.tables):
+            raise ValueError("factor arities and table choices must be parallel")
+        if int(self.arities.sum()) != len(self.edge_vars):
+            raise ValueError("factor arities must sum to the slot count")
+        if self.edge_vars.size and (self.edge_vars.min() < 0 or self.edge_vars.max() >= n):
             raise ValueError("factor neighbour out of range")
+
+    @classmethod
+    def from_factors(cls, family: WeightFamily, var_degrees, factor_vars, factor_tables,
+                     pins=()) -> "FactorGraph":
+        """A graph from per-factor sequences of variable ids."""
+        arities = [len(fv) for fv in factor_vars]
+        edge_vars = np.fromiter(itertools.chain.from_iterable(factor_vars), dtype=np.int64,
+                                count=sum(arities))
+        return cls(family=family, var_degrees=var_degrees, edge_vars=edge_vars,
+                   arities=arities, tables=factor_tables, pins=pins)
+
+    @cached_property
+    def factor_vars(self) -> tuple:
+        return _split(self.edge_vars.tolist(), self.arities.tolist())
+
+    @cached_property
+    def factor_tables(self) -> tuple:
+        return tuple(self.tables.tolist())
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """The read-only (m, max arity) index of every factor's slots; entries
+        past a factor's arity are slot 0 and are never read."""
+        out = np.zeros((self.m, self.arities.max(initial=0)), dtype=np.int64)
+        out[slot_layout(self.arities)] = np.arange(len(self.edge_vars))
+        out.flags.writeable = False
+        return out
 
     @property
     def n(self) -> int:
@@ -507,17 +524,14 @@ class FactorGraph:
 
     @property
     def m(self) -> int:
-        return len(self.factor_vars)
+        return len(self.arities)
 
     @property
     def q(self) -> int:
         return self.family.q
 
-    def arity(self, j: int) -> int:
-        return len(self.factor_vars[j])
-
     def factor_table(self, j: int) -> np.ndarray:
-        return self.family.table(self.arity(j), self.factor_tables[j])
+        return self.family.table(int(self.arities[j]), int(self.tables[j]))
 
     def realized_degrees(self) -> np.ndarray:
         return np.bincount(self.edge_vars, minlength=self.n)
@@ -565,12 +579,11 @@ class FactorGraph:
                 k, ti = vals[0], vals[1]
                 if len(vals) != 2 + k:
                     raise ValueError("factor line length does not match its arity")
-                factor_vars.append(tuple(vals[2:]))
+                factor_vars.append(vals[2:])
                 factor_tables.append(ti)
         if len(factor_vars) != m:
             raise ValueError("factor count does not match the header")
-        g = cls(family=family, var_degrees=(0,) * n, factor_vars=factor_vars,
-                factor_tables=factor_tables, pins=pins)
+        g = cls.from_factors(family, (0,) * n, factor_vars, factor_tables, pins)
         # the constructor has range-checked every neighbour against n
         object.__setattr__(g, "var_degrees", _int_tuple(g.realized_degrees()))
         return g
@@ -649,25 +662,19 @@ def sample_pruned_sequence(n: int, eps: float, dspec: DegreeSpec, kspec: DegreeS
 # ---------------------------------------------------------------------------
 
 
-def _slot_vars(seq: DegreeSequence, clones: np.ndarray) -> tuple:
-    """Per-factor variable tuples of the clones placed on the slots, which
-    are listed factor by factor; clones are numbered variable by variable."""
-    owners = np.repeat(np.arange(seq.n), seq.degrees)
-    return _split(owners[clones].tolist(), seq.factor_arities)
-
-
-def _pair_topology(seq: DegreeSequence, rng: np.random.Generator) -> tuple:
-    """Uniform maximal matching of variable clones onto factor slots."""
+def _pair_topology(seq: DegreeSequence, rng: np.random.Generator) -> np.ndarray:
+    """The variable on each slot under a uniform maximal matching of variable
+    clones, numbered variable by variable, onto factor slots."""
     order = rng.permutation(seq.total_var_degree)
-    return _slot_vars(seq, order[:seq.total_factor_degree])
+    return np.repeat(np.arange(seq.n), seq.degrees)[order[:seq.total_factor_degree]]
 
 
 def pair_uniform(seq: DegreeSequence, seed: int) -> FactorGraph:
     """Configuration-model pairing; weights are unit tables over two spins."""
     family = WeightFamily.constant(2, sorted(set(seq.factor_arities)) or [1])
     return FactorGraph(family=family, var_degrees=seq.var_degrees,
-                       factor_vars=_pair_topology(seq, substream(seed, 1)),
-                       factor_tables=(0,) * seq.m)
+                       edge_vars=_pair_topology(seq, substream(seed, 1)),
+                       arities=seq.arities, tables=np.zeros(seq.m, dtype=np.int64))
 
 
 def sample_null(n: int, dspec: DegreeSpec, kspec: DegreeSpec, family: WeightFamily,
@@ -681,14 +688,14 @@ def sample_null(n: int, dspec: DegreeSpec, kspec: DegreeSpec, family: WeightFami
     if not family.supports(kspec.support):
         raise ValueError("family does not cover every arity in the degree spec")
     seq = sample_degree_sequence(n, dspec, kspec, seed)
-    factor_vars = _pair_topology(seq, substream(seed, 1))
+    edge_vars = _pair_topology(seq, substream(seed, 1))
     u = substream(seed, 2).random(seq.m)
     tables = np.empty(seq.m, dtype=np.int64)
     for k in np.flatnonzero(np.bincount(seq.arities)).tolist():
         rows = np.flatnonzero(seq.arities == k)
         tables[rows] = _choice_cdf(family.masses[k]).searchsorted(u[rows], side="right")
-    return FactorGraph(family=family, var_degrees=seq.var_degrees,
-                       factor_vars=factor_vars, factor_tables=tables,
+    return FactorGraph(family=family, var_degrees=seq.var_degrees, edge_vars=edge_vars,
+                       arities=seq.arities, tables=tables,
                        meta={"construction": "null", "sequence_rejections": seq.rejections})
 
 
@@ -839,15 +846,15 @@ def _tilted_weight_choice(seq: DegreeSequence, tuples: np.ndarray,
 def _colour_consistent_pairing(seq: DegreeSequence, sigma: np.ndarray,
                                tuples: np.ndarray, pebbles: np.ndarray,
                                family: WeightFamily, rng: np.random.Generator):
-    """Uniform colour-consistent bijection of variable clones onto positions."""
+    """Uniform colour-consistent bijection of variable clones onto positions;
+    returns the variable on each slot."""
     q = family.q
-    arities = seq.arities
-    factor = np.repeat(np.arange(seq.m), arities)
+    factor, slot = slot_layout(seq.arities)
     # slot s of an arity-k factor holds digit s of its tuple, most significant first
-    slot = np.arange(seq.total_factor_degree) - np.repeat(np.cumsum(arities) - arities, arities)
-    power = q ** (arities[factor] - 1 - slot)
+    power = q ** (seq.arities[factor] - 1 - slot)
     position_colors = np.concatenate([tuples[factor] // power % q, pebbles])
-    clone_colors = np.repeat(sigma, seq.degrees)
+    owners = np.repeat(np.arange(seq.n), seq.degrees)
+    clone_colors = sigma[owners]
 
     assignment = np.full(len(position_colors), -1, dtype=np.int64)
     for w in range(q):
@@ -856,7 +863,7 @@ def _colour_consistent_pairing(seq: DegreeSequence, sigma: np.ndarray,
         if len(clones_w) != len(positions_w):
             raise ValueError("colour histograms do not match")
         assignment[positions_w] = clones_w[rng.permutation(len(clones_w))]
-    return _slot_vars(seq, assignment[:seq.total_factor_degree])
+    return owners[assignment[:seq.total_factor_degree]]
 
 
 def sample_planted(seq: DegreeSequence, sigma: np.ndarray, family: WeightFamily,
@@ -882,12 +889,11 @@ def sample_planted(seq: DegreeSequence, sigma: np.ndarray, family: WeightFamily,
     tuples, pebbles, attempts = _conditioned_colouring(
         seq, sigma, family, substream(seed, 10), max_attempts=max_attempts)
     table_ids = _tilted_weight_choice(seq, tuples, family, substream(seed, 11))
-    factor_vars = _colour_consistent_pairing(seq, sigma, tuples, pebbles, family,
-                                             substream(seed, 12))
+    edge_vars = _colour_consistent_pairing(seq, sigma, tuples, pebbles, family,
+                                           substream(seed, 12))
     pins = tuple((i, int(sigma[i])) for i in range(theta))
-    return FactorGraph(family=family, var_degrees=seq.var_degrees,
-                       factor_vars=factor_vars, factor_tables=tuple(table_ids.tolist()),
-                       pins=pins,
+    return FactorGraph(family=family, var_degrees=seq.var_degrees, edge_vars=edge_vars,
+                       arities=seq.arities, tables=table_ids, pins=pins,
                        meta={"construction": "planted",
                              "colouring_attempts": attempts,
                              "colouring_mcmc": False})

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bethe
 from .graphmodel import (DegreeSpec, FactorGraph, WeightFamily,
-                         _parity_tensor)
+                         _parity_tensor, slot_layout)
 from .rng import substream
 
 
@@ -77,7 +77,7 @@ def ldgm_channel(g: FactorGraph, x, eta: float, seed: int) -> np.ndarray:
     table index 0 where y* is 0.
     """
     x = np.asarray(x, dtype=np.int64)
-    factor_of = np.repeat(np.arange(g.m), g.arities)
+    factor_of, _ = slot_layout(g.arities)
     parity = np.bincount(factor_of, weights=x[g.edge_vars], minlength=g.m).astype(np.int64) % 2
     rng = substream(seed, 90)
     flips = rng.random(g.m) < eta

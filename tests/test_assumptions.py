@@ -1,4 +1,5 @@
-
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -61,6 +62,20 @@ def test_check_bal_verdicts():
     rep = assumptions.check_bal(fam)
     assert not rep.passed
     assert rep.witness[0] in ("max-not-uniform", "midpoint-convexity")
+
+
+def _bincount_simplex_grid(q, resolution):
+    """The grid one point at a time: one bincount per sorted colour tuple."""
+    return np.asarray([np.bincount(comp, minlength=q) / resolution
+                       for comp in itertools.combinations_with_replacement(range(q), resolution)])
+
+
+@pytest.mark.parametrize("q, resolution", [(1, 5), (2, 64), (3, 64), (4, 64), (3, 7)])
+def test_simplex_grid_matches_pointwise_builder(q, resolution):
+    # same points in the same order, so BAL's sampled pairs stay the same
+    grid = assumptions._simplex_grid(q, resolution)
+    assert grid.tobytes() == _bincount_simplex_grid(q, resolution).tobytes()
+    assert grid.shape == (math.comb(resolution + q - 1, q - 1), q)
 
 
 def test_check_bal_warns_for_large_alphabet():
@@ -131,8 +146,9 @@ def test_pos_fast_path_matches_generic():
         slow = assumptions._expected_lambda(twin, k, sets, wts)
         assert fast == pytest.approx(slow, abs=1e-13)
 
-    # kernel rows at k = 2, k = 3 and mixed arities, closed mixes and messages;
-    # a random three-spin family has no slot symmetry to hide a wrong open slot
+    # kernel rows at k = 2, k = 3 and mixed arities, messages and closed mixes
+    # (the message at the last slot times that slot's point); a random
+    # three-spin family has no slot symmetry to hide a wrong open slot
     q3 = WeightFamily(q=3, tables={k: tuple(rng.uniform(0.5, 2.0, (2,) + (3,) * k))
                                    for k in (2, 3)},
                       masses={2: np.array([0.3, 0.7]), 3: np.array([0.6, 0.4])})
@@ -142,13 +158,16 @@ def test_pos_fast_path_matches_generic():
         tables = rng.integers(0, 2, size=n)
         for ks in (np.full(n, 2), np.full(n, 3), rng.choice([2, 3], size=n)):
             hs = rng.integers(0, ks)
-            for open_slots in (None, hs):
+            for closed in (False, True):
+                open_slots = ks - 1 if closed else hs
                 got = family.contract(ks, tables, points, open_slots)
                 if reference is not None:
                     want = reference.contract(ks, tables, points, open_slots)
                     assert np.abs(got - want).max() <= 1e-13
+                if closed:
+                    got = (got * points[np.arange(n), ks - 1]).sum(axis=1)
                 for i in range(6):
-                    h = None if open_slots is None else hs[i]
+                    h = None if closed else hs[i]
                     ref = _brute_contract(family, ks[i], tables[i], points[i], h)
                     assert np.abs(got[i] - ref).max() <= 1e-13
 

@@ -113,7 +113,9 @@ def _lambda_form(model, pop, samples, seed):
     rng = substream(seed, 0)
     family, xi = model.family, model.family.xi()
 
-    def contract(klaw, count, open_slots):
+    def contract(klaw, count, closed):
+        """Messages at uniform open slots, or closed mixes: the message at
+        the last slot times that slot's point."""
         ks = klaw.sample(rng, count)
         tables = np.zeros(count, dtype=np.int64)
         for k in np.unique(ks).tolist():
@@ -121,13 +123,16 @@ def _lambda_form(model, pop, samples, seed):
             tables[rows] = rng.choice(len(family.masses[k]), size=rows.sum(),
                                       p=family.masses[k])
         points = pop.points[rng.integers(0, pop.size, size=(count, ks.max()))]
-        hs = (rng.random(count) * ks).astype(np.int64) if open_slots else None
-        return ks, family.contract(ks, tables, points, hs)
+        if not closed:
+            hs = (rng.random(count) * ks).astype(np.int64)
+            return ks, family.contract(ks, tables, points, hs)
+        messages = family.contract(ks, tables, points, ks - 1)
+        return ks, (messages * points[np.arange(count), ks - 1]).sum(axis=1)
 
     ds = model.dspec.sample(rng, samples)
-    _, messages = contract(bethe.size_biased(model.kspec), int(ds.sum()), True)
+    _, messages = contract(bethe.size_biased(model.kspec), int(ds.sum()), False)
     z = np.exp(bethe._log_products(messages, ds)).sum(axis=1)
-    ks, mix = contract(model.kspec, samples, False)
+    ks, mix = contract(model.kspec, samples, True)
     vals = (z * np.log(z) / (model.q * xi ** ds) - model.dspec.mean
             / (xi * model.kspec.mean) * (ks - 1) * mix * np.log(mix))
     return vals.mean(), vals.std(ddof=1) / math.sqrt(samples)

@@ -313,7 +313,7 @@ def test_config_file_rejects_unknown_top_level_keys(tmp_path):
 
     cfg = {"model": {"name": "ldgm", "dspec": 2, "kspec": 2},
            "grid": {"param": "eta", "values": [0.3]}, "seed": 1,
-           "budget": {"pop_size": 150}, "comparator": "annealed", "workers": 1}
+           "budget": {"pop_size": 150}, "workers": 1}
     path = tmp_path / "ok.yaml"
     path.write_text(yaml.safe_dump(cfg))
     config = cli.ExperimentConfig.from_file(path, "mi-scan")
@@ -323,3 +323,27 @@ def test_config_file_rejects_unknown_top_level_keys(tmp_path):
     with pytest.raises(ConfigError, match="out"):
         cli.ExperimentConfig.from_file(path, "mi-scan")
     assert run_cli(["mi-scan", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command, extra, key", [
+    ("threshold", {"budget": {"pop_size": 150, "pos_trials": 50}}, "pos_trials"),
+    ("threshold", {"workers": 2}, "workers"),
+    ("mi-scan", {"comparator": 0.5}, "comparator"),
+])
+def test_config_rejects_keys_its_command_does_not_read(tmp_path, capsys, command, extra, key):
+    # such a key would change the manifest digest and nothing else
+    from factorcavity.errors import ConfigError
+
+    cfg = {"model": {"name": "ldgm", "dspec": 2, "kspec": 2},
+           "grid": {"param": "eta", "values": [0.3]}, "seed": 1,
+           "budget": {"pop_size": 150}}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert cli.ExperimentConfig.from_file(path, command).operation == command
+    path.write_text(yaml.safe_dump(dict(cfg, **extra)))
+    with pytest.raises(ConfigError, match=key):
+        cli.ExperimentConfig.from_file(path, command)
+    capsys.readouterr()
+    assert run_cli([command, "--config", str(path)]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ConfigError" and key in error["message"]

@@ -10,7 +10,7 @@ from factorcavity import bethe, exact, models
 from factorcavity.errors import CapExceeded
 from factorcavity.graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
                                      WeightFamily, pin, sample_degree_sequence,
-                                     sample_null, sample_planted)
+                                     sample_null, sample_planted, slot_layout)
 from factorcavity.rng import substream
 
 D2 = DegreeSpec.constant(2)
@@ -19,8 +19,8 @@ K2 = DegreeSpec.constant(2)
 
 def _empty_graph(n, q=2):
     fam = WeightFamily.constant(q, [2])
-    return FactorGraph(family=fam, var_degrees=(0,) * n, factor_vars=(),
-                       factor_tables=())
+    return FactorGraph.from_factors(family=fam, var_degrees=(0,) * n, factor_vars=(),
+                                    factor_tables=())
 
 
 def _tensor_oracle_log_z(g):
@@ -52,8 +52,8 @@ def test_zero_factor_graph():
 
 def test_single_constant_factor():
     fam = WeightFamily.constant(2, [2], value=0.7)
-    g = FactorGraph(family=fam, var_degrees=(1, 1), factor_vars=((0, 1),),
-                    factor_tables=(0,))
+    g = FactorGraph.from_factors(family=fam, var_degrees=(1, 1), factor_vars=((0, 1),),
+                                 factor_tables=(0,))
     assert exact.partition_function(g).log_z == pytest.approx(math.log(4 * 0.7), abs=1e-12)
 
 
@@ -79,9 +79,8 @@ def _random_graph(q, n, seed, pins=()):
     factor_vars = [(0, 0, 1)] + [tuple(rng.integers(0, n, size=k))
                                  for k in rng.integers(1, 4, size=n + 2)]
     degrees = np.bincount(np.concatenate(factor_vars), minlength=n)
-    return FactorGraph(family=fam, var_degrees=tuple(degrees), factor_vars=tuple(factor_vars),
-                       factor_tables=tuple(rng.integers(0, 2, size=len(factor_vars))),
-                       pins=pins)
+    return FactorGraph.from_factors(fam, tuple(degrees), tuple(factor_vars),
+                                    tuple(rng.integers(0, 2, size=len(factor_vars))), pins)
 
 
 def _termwise(g):
@@ -138,8 +137,8 @@ def test_pinned_out_leading_blocks():
     g = _random_graph(2, n, seed=3)
     fam = WeightFamily(q=2, tables={**g.family.tables, 1: (np.array([1.0, 50.0]),) * 2},
                        masses=g.family.masses)
-    g = FactorGraph(family=fam, var_degrees=g.var_degrees, factor_vars=g.factor_vars + ((1,),),
-                    factor_tables=g.factor_tables + (0,))
+    g = FactorGraph.from_factors(fam, g.var_degrees, g.factor_vars + ((1,),),
+                                 g.factor_tables + (0,))
     pinned = g.with_pins([(0, 1)])
     # the unpinned graph's log weights restricted to sigma_0 = 1 by hand
     grids = np.meshgrid(*[np.arange(2)] * n, indexing="ij")
@@ -168,7 +167,7 @@ def test_log_z_additive_over_components():
     fam = models.sbm(2, 0.8, 3).family
     g1 = sample_null(4, D2, K2, fam, seed=0)
     g2 = sample_null(3, D2, K2, fam, seed=1)
-    merged = FactorGraph(
+    merged = FactorGraph.from_factors(
         family=fam,
         var_degrees=g1.var_degrees + g2.var_degrees,
         factor_vars=g1.factor_vars + tuple(tuple(v + g1.n for v in fv)
@@ -228,8 +227,8 @@ def test_two_point_two_variable_hand_value():
     eps = 0.3
     table = np.array([[1 + eps, eps], [eps, 1 + eps]])
     fam = WeightFamily(q=2, tables={2: (table,)}, masses={2: np.array([1.0])})
-    g = FactorGraph(family=fam, var_degrees=(1, 1), factor_vars=((0, 1),),
-                    factor_tables=(0,))
+    g = FactorGraph.from_factors(family=fam, var_degrees=(1, 1), factor_vars=((0, 1),),
+                                 factor_tables=(0,))
     z = 2 * (1 + eps) + 2 * eps
     joint_00 = (1 + eps) / z
     marg = 0.5
@@ -374,9 +373,9 @@ def test_bp_single_cycle_weak_coupling():
     # 4-cycle with entries within 10% of 1
     table = np.array([[1.08, 0.94], [0.94, 1.08]])
     fam = WeightFamily(q=2, tables={2: (table,)}, masses={2: np.array([1.0])})
-    g = FactorGraph(family=fam, var_degrees=(2, 2, 2, 2),
-                    factor_vars=((0, 1), (1, 2), (2, 3), (3, 0)),
-                    factor_tables=(0,) * 4)
+    g = FactorGraph.from_factors(family=fam, var_degrees=(2, 2, 2, 2),
+                                 factor_vars=((0, 1), (1, 2), (2, 3), (3, 0)),
+                                 factor_tables=(0,) * 4)
     state = exact.bp_run(g, max_iters=2000, damping=0.2, tol=1e-12)
     assert state.converged
     summary = exact.partition_function(g)
@@ -385,9 +384,9 @@ def test_bp_single_cycle_weak_coupling():
 
 def test_bp_pinned_tree_is_exact():
     fam = models.sbm(2, 0.9, 3).family
-    g = FactorGraph(family=fam, var_degrees=(1, 2, 1),
-                    factor_vars=((0, 1), (1, 2)), factor_tables=(0, 0),
-                    pins=((0, 1),))
+    g = FactorGraph.from_factors(family=fam, var_degrees=(1, 2, 1),
+                                 factor_vars=((0, 1), (1, 2)), factor_tables=(0, 0),
+                                 pins=((0, 1),))
     state = exact.bp_run(g, damping=0.0, tol=1e-13)
     summary = exact.partition_function(g)
     assert np.abs(exact.bp_marginals(state) - summary.marginals).max() <= 1e-10
@@ -399,9 +398,9 @@ def test_bp_reports_non_convergence():
     # state carries the verdict rather than raising
     table = np.exp(-3.0 * np.eye(2))
     fam = WeightFamily(q=2, tables={2: (table,)}, masses={2: np.array([1.0])})
-    g = FactorGraph(family=fam, var_degrees=(2, 2, 2),
-                    factor_vars=((0, 1), (1, 2), (2, 0)),
-                    factor_tables=(0,) * 3, pins=((0, 0),))
+    g = FactorGraph.from_factors(family=fam, var_degrees=(2, 2, 2),
+                                 factor_vars=((0, 1), (1, 2), (2, 0)),
+                                 factor_tables=(0,) * 3, pins=((0, 0),))
     state = exact.bp_run(g, max_iters=3, damping=0.0, tol=1e-15)
     assert not state.converged
     assert state.iterations == 3
@@ -414,15 +413,14 @@ def _loop_bp(g, sweeps, damping):
     q = g.q
     edge_var = g.edge_vars
     fields = exact._pin_fields(g)
-    ks, tables, slots = exact._factor_slots(g)
-    factor_of = np.repeat(np.arange(g.m), ks)
-    open_slot = np.arange(len(edge_var)) - np.repeat(np.cumsum(ks) - ks, ks)
-    pos = np.arange(slots.shape[1] - 1)
-    others = slots[factor_of[:, None], pos + (pos >= open_slot[:, None])]
+    factor_of, open_slot = slot_layout(g.arities)
+    pos = np.arange(g.slots.shape[1] - 1)
+    others = g.slots[factor_of[:, None], pos + (pos >= open_slot[:, None])]
+    ks, tables = g.arities[factor_of], g.tables[factor_of]
     v2f = np.full((len(edge_var), q), 1.0 / q)
     f2v = v2f.copy()
     for _ in range(sweeps):
-        new_f2v = g.family.contract(ks[factor_of], tables[factor_of], v2f[others], open_slot)
+        new_f2v = g.family.contract(ks, tables, v2f[others], open_slot)
         new_f2v = np.clip(new_f2v, 0.0, None)
         new_f2v /= new_f2v.sum(axis=1, keepdims=True)
         new_v2f = np.empty_like(v2f)
@@ -459,9 +457,9 @@ def _planted_bp_graph(model, n, seed):
     # q=3, arities 1-3, a factor repeating a variable, pins
     lambda: _random_graph(3, 6, 4, pins=((1, 2), (4, 0))),
     # parallel edges between the same two variables
-    lambda: FactorGraph(family=models.sbm(3, 1.0, 3).family, var_degrees=(3, 3, 2),
-                        factor_vars=((0, 1), (0, 1), (1, 2), (2, 0)),
-                        factor_tables=(0,) * 4, pins=((2, 1),)),
+    lambda: FactorGraph.from_factors(family=models.sbm(3, 1.0, 3).family, var_degrees=(3, 3, 2),
+                                     factor_vars=((0, 1), (0, 1), (1, 2), (2, 0)),
+                                     factor_tables=(0,) * 4, pins=((2, 1),)),
     # no factors, one pin
     lambda: _empty_graph(4).with_pins([(2, 1)]),
 ])

@@ -614,18 +614,20 @@ def test_pin_budgeted_mode_runs():
 
 def test_graph_validation_and_with_pins():
     fam = WeightFamily.constant(2, [1, 2])
-    g = FactorGraph(family=fam, var_degrees=np.array([1, 2, 1]),
-                    factor_vars=[np.array([0, 1]), (np.int64(2),), [1, 2]],
-                    factor_tables=np.zeros(3, dtype=np.int64), pins=[(np.int64(1), 1)])
+    g = FactorGraph.from_factors(fam, np.array([1, 2, 1]),
+                                 [np.array([0, 1]), (np.int64(2),), [1, 2]],
+                                 np.zeros(3, dtype=np.int64), pins=[(np.int64(1), 1)])
     assert g.factor_vars == ((0, 1), (2,), (1, 2))
     assert g.var_degrees == (1, 2, 1) and g.factor_tables == (0, 0, 0)
     parts = g.var_degrees + g.factor_tables + sum(g.factor_vars, ()) + sum(g.pins, ())
     assert {type(x) for x in parts} == {int}
     for bad in ([(0, 3)], [(-1, 0)]):
         with pytest.raises(ValueError, match="neighbour out of range"):
-            FactorGraph(family=fam, var_degrees=(1, 1, 1), factor_vars=bad, factor_tables=(0,))
+            FactorGraph.from_factors(fam, (1, 1, 1), bad, (0,))
     with pytest.raises(ValueError, match="parallel"):
-        FactorGraph(family=fam, var_degrees=(1,), factor_vars=[(0,)], factor_tables=(0, 0))
+        FactorGraph.from_factors(fam, (1,), [(0,)], (0, 0))
+    with pytest.raises(ValueError, match="sum to the slot count"):
+        FactorGraph(family=fam, var_degrees=(1, 1), edge_vars=[0, 1], arities=[1], tables=[0])
     pinned = g.with_pins([(np.int64(2), np.int64(0))])
     assert pinned.pins == ((1, 1), (2, 0)) and g.pins == ((1, 1),)
     assert pinned.factor_vars is g.factor_vars
@@ -633,15 +635,20 @@ def test_graph_validation_and_with_pins():
         with pytest.raises(ValueError, match="pin out of range"):
             g.with_pins(bad)
         with pytest.raises(ValueError, match="pin out of range"):
-            FactorGraph(family=fam, var_degrees=(1, 2, 1), factor_vars=g.factor_vars,
-                        factor_tables=g.factor_tables, pins=bad)
+            FactorGraph.from_factors(family=fam, var_degrees=(1, 2, 1), factor_vars=g.factor_vars,
+                                     factor_tables=g.factor_tables, pins=bad)
 
 
 def _assert_array_form(g):
-    assert g.edge_vars.dtype == np.int64 and g.arities.dtype == np.int64
+    for stored in (g.edge_vars, g.arities, g.tables):
+        assert stored.dtype == np.int64 and not stored.flags.writeable
     assert np.array_equal(g.edge_vars,
                           np.array(sum(g.factor_vars, ()), dtype=np.int64).reshape(-1))
     assert tuple(g.arities.tolist()) == tuple(len(fv) for fv in g.factor_vars)
+    assert g.factor_tables == tuple(g.tables.tolist())
+    # the padded slot matrix lists each factor's slots in order
+    for j, fv in enumerate(g.factor_vars):
+        assert tuple(g.edge_vars[g.slots[j, :len(fv)]].tolist()) == fv
 
 
 def test_graph_array_form_matches_factor_vars():
@@ -656,8 +663,8 @@ def test_graph_array_form_matches_factor_vars():
                              model.family, 6, 3)
     pinned = pin(null, 4, seed=1)
     back = FactorGraph.from_text(planted.to_text(), model.family)
-    empty = FactorGraph(family=model.family, var_degrees=(0, 0), factor_vars=(),
-                        factor_tables=())
+    empty = FactorGraph.from_factors(family=model.family, var_degrees=(0, 0), factor_vars=(),
+                                     factor_tables=())
     for g in (null, planted, pinned, back, empty):
         _assert_array_form(g)
     for g in (null, planted, pinned, back):

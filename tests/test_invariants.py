@@ -104,8 +104,10 @@ def test_parity_contraction_matches_einsum(model, seed):
         tables = rng.integers(0, family.n_tables(k), size=rows)
         points = rng.dirichlet([0.5, 0.5], size=(rows, k))
         opens = rng.integers(0, k, size=rows)
-        closed = family.contract(np.full(rows, k), tables, points)
         messages = family.contract(np.full(rows, k), tables, points[:, :k - 1], opens)
+        # the closed mix: the message at the last slot times that slot's point
+        last = family.contract(np.full(rows, k), tables, points[:, :k - 1], np.full(rows, k - 1))
+        closed = (last * points[:, k - 1]).sum(axis=1)
         for i in range(rows):
             table = family.table(k, tables[i])
             assert abs(closed[i] - _plain_contraction(table, points[i])) <= 1e-12

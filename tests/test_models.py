@@ -184,8 +184,8 @@ def test_kspin_log_normalizer_maps_to_raw_convention():
     raw_tables = {2: tuple(np.exp(beta * a * _parity_tensor(2))
                            for a in levels)}
     raw_fam = WeightFamily(q=2, tables=raw_tables, masses={2: level_masses})
-    raw = FactorGraph(family=raw_fam, var_degrees=g.var_degrees,
-                      factor_vars=g.factor_vars, factor_tables=g.factor_tables)
+    raw = FactorGraph.from_factors(family=raw_fam, var_degrees=g.var_degrees,
+                                   factor_vars=g.factor_vars, factor_tables=g.factor_tables)
     # exp(beta J s) = cosh(beta J) (1 + tanh(beta J) s), factor by factor
     shift = float(np.log(np.cosh(beta * levels))[list(g.factor_tables)].sum())
     assert exact.partition_function(raw).log_z == pytest.approx(
