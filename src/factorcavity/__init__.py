@@ -24,7 +24,7 @@ from .graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
                          sample_nishimori, sample_null, sample_planted,
                          sample_pruned_sequence, uniform_assignment)
 from .models import ModelSpec, kspin, ldgm, ldgm_channel, lrc_threshold, sbm
-from .assumptions import (CheckReport, check_all, check_bal, check_deg,
-                          check_pos, check_sym)
+from .assumptions import (CheckReport, certify_pos, check_all, check_bal,
+                          check_deg, check_pos, check_sym)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -3,8 +3,10 @@
 Four checks: finite positive-mean degrees (DEG), a constant marginal-sum
 weight constant (SYM), uniform-maximising concave mean-table polynomials
 (BAL), and the three-term convexity inequality (POS).  SYM is exact; BAL is
-a grid check; POS is a randomised falsifier, so a pass means "no violation
-found", never a proof.
+a grid check.  POS has two kinds of evidence: ``certify_pos`` proves it from
+the tables of two-spin parity families with a symmetric coefficient law and
+of pairwise Potts families, and ``check_pos`` is a randomised falsifier for
+every other family, whose pass means only "no violation found".
 """
 
 from __future__ import annotations
@@ -253,6 +255,67 @@ def pos_margin(family: WeightFamily, k: int, pop_a, pop_b) -> float:
     return t1 + t2 - t3
 
 
+# ---------------------------------------------------------------------------
+# POS certificates (derivations in docs/notes.md, "POS certificates")
+# ---------------------------------------------------------------------------
+
+
+def _parity_residue(k: int, coefs: np.ndarray, masses: np.ndarray) -> float:
+    """Closed-form bound on the odd-moment terms of the parity series.
+
+    The law of c is taken on its distinct values, sorted, so value i's mirror
+    is value j = n - 1 - i; the bound is
+    k sum_i (|p_i - p_j| h(c_max) + p_j |c_i + c_j| H(c_max)), with h and H
+    the odd-l sums of x^l / (l(l-1)) and of x^(l-1) / (l-1).  Positive tables
+    1 +- c force |c| < 1, so both sums are finite.
+    """
+    values, which = np.unique(coefs, return_inverse=True)
+    law = np.bincount(which, weights=masses)
+    c_max = float(np.abs(values).max())
+    h = c_max - ((1 + c_max) * math.log1p(c_max) - (1 - c_max) * math.log1p(-c_max)) / 2
+    big_h = -(math.log1p(c_max) + math.log1p(-c_max)) / 2
+    mass_gap = float(np.abs(law - law[::-1]).sum())
+    coef_gap = float(law[::-1] @ np.abs(values + values[::-1]))
+    return k * (mass_gap * h + coef_gap * big_h)
+
+
+def _is_potts(q: int, k: int, flat: np.ndarray) -> bool:
+    """Whether every table is c0 (1 - gamma [s = t]) exactly, 0 <= gamma < 1."""
+    if k != 2 or q < 2:
+        return False
+    equal = np.eye(q, dtype=bool).ravel()
+    diag, off = flat[:, equal], flat[:, ~equal]
+    return bool(np.all(diag == diag[:, :1]) and np.all(off == off[:, :1])
+                and np.all(diag[:, 0] <= off[:, 0]))
+
+
+def certify_pos(family: WeightFamily) -> Optional[CheckReport]:
+    """A proof of the three-term convexity inequality from the tables, or None.
+
+    Every arity must qualify: a two-spin parity arity whose odd-moment
+    residue bound is at most ``_MARGIN_TOL``, or a pair arity of Potts tables
+    c0 (1 - gamma [s = t]) with 0 <= gamma < 1.  Runs no trials; the report's
+    info has the falsifier's keys plus the certificates used and the largest
+    residue bound.
+    """
+    names = set()
+    residue = 0.0
+    for k, form in family.compiled.arity.items():
+        if form.parity is not None:
+            bound = _parity_residue(k, form.parity, form.masses)
+            if bound <= _MARGIN_TOL:
+                names.add("parity")
+                residue = max(residue, bound)
+                continue
+        if _is_potts(family.q, k, form.flat):
+            names.add("potts")
+            continue
+        return None
+    info = {"trials": 0, "evaluations": 0, "worst_margin": 0.0, "semantics": "certified",
+            "certificate": "+".join(sorted(names)), "residue_bound": residue}
+    return CheckReport("POS", True, info=info)
+
+
 def check_pos(family: WeightFamily, *, trials: int, seed: int = 0) -> CheckReport:
     """Randomised falsifier for the three-term convexity inequality.
 
@@ -260,7 +323,9 @@ def check_pos(family: WeightFamily, *, trials: int, seed: int = 0) -> CheckRepor
     and mirror populations), evaluates the inequality exactly on their
     finite supports for every arity, and fails on any margin below -1e-9.
     A pass means no violation was found in ``trials`` attempts; it is a
-    one-sided check, not a proof.
+    one-sided check, not a proof.  ``certify_pos`` gives the proof for the
+    families it covers; this falsifier runs whenever it is called, certified
+    family or not.
     """
     rng = substream(seed, 60)
     worst = 0.0
@@ -289,10 +354,11 @@ def check_pos(family: WeightFamily, *, trials: int, seed: int = 0) -> CheckRepor
 
 def check_all(dspec: DegreeSpec, kspec: DegreeSpec, family: WeightFamily,
               *, pos_trials: int, seed: int = 0) -> dict:
-    """Run all four checkers; returns {name: CheckReport}."""
+    """Run all four checkers; returns {name: CheckReport}.  POS is the
+    certificate where one exists, else ``pos_trials`` falsifier trials."""
     return {
         "DEG": check_deg(dspec, kspec),
         "SYM": check_sym(family),
         "BAL": check_bal(family, seed=seed),
-        "POS": check_pos(family, trials=pos_trials, seed=seed),
+        "POS": certify_pos(family) or check_pos(family, trials=pos_trials, seed=seed),
     }

@@ -269,6 +269,16 @@ class WeightFamily:
         return len(self.tables[k])
 
     @cached_property
+    def _table_counts(self) -> np.ndarray:
+        """Tables per arity, indexed by arity, with 0 for every arity the
+        family lacks, index 0 and one index past the largest arity included,
+        so ``take(arities, mode="clip")`` is 0 exactly where it lacks one."""
+        counts = np.zeros(max(self.tables, default=0) + 2, dtype=np.int64)
+        for k, tabs in self.tables.items():
+            counts[k] = len(tabs)
+        return counts
+
+    @cached_property
     def _mean_tables(self) -> dict:
         out = {}
         for k, tabs in self.tables.items():
@@ -464,10 +474,12 @@ class FactorGraph:
     The topology is stored once, by slot: ``edge_vars`` is the variable on
     each slot, factor by factor and slot by slot, ``arities`` each factor's
     slot count and ``tables`` its index into the family's tables at that
-    arity, all read-only int64 arrays.  ``pins`` are hard unary indicator
-    factors (variable, forced spin); the unmatched clones are
-    ``var_degrees`` minus the realised degrees.  ``factor_vars`` and
-    ``factor_tables`` are tuple views of plain ints, built on first read.
+    arity, all read-only int64 arrays; the constructor rejects an arity the
+    family lacks and a table id outside ``range(family.n_tables(k))``.
+    ``pins`` are hard unary indicator factors (variable, forced spin); the
+    unmatched clones are ``var_degrees`` minus the realised degrees.
+    ``factor_vars`` and ``factor_tables`` are tuple views of plain ints,
+    built on first read.
     """
 
     family: WeightFamily
@@ -490,6 +502,12 @@ class FactorGraph:
             raise ValueError("factor arities must sum to the slot count")
         if self.edge_vars.size and (self.edge_vars.min() < 0 or self.edge_vars.max() >= n):
             raise ValueError("factor neighbour out of range")
+        if self.arities.size:
+            limit = self.family._table_counts.take(self.arities, mode="clip")
+            if not limit.all():
+                raise ValueError("factor arity missing from the weight family")
+            if self.tables.min() < 0 or (self.tables >= limit).any():
+                raise ValueError("factor table id out of range for its arity")
 
     @classmethod
     def from_factors(cls, family: WeightFamily, var_degrees, factor_vars, factor_tables,

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from factorcavity import assumptions, models
-from factorcavity.graphmodel import DegreeSpec, WeightFamily
+from factorcavity import assumptions, bethe, models
+from factorcavity.graphmodel import DegreeSpec, WeightFamily, _parity_tensor
+from factorcavity.models import ModelSpec
+from factorcavity.rng import substream
 
 D2 = DegreeSpec.constant(2)
+K2 = DegreeSpec.constant(2)
 K23 = DegreeSpec.from_mapping({2: 0.5, 3: 0.5})
 
 
@@ -179,6 +182,168 @@ def test_pos_fast_path_matches_generic():
     table[1, 0] += 1e-9
     near = WeightFamily(q=2, tables={2: (table,)}, masses={2: np.array([1.0])})
     assert near.compiled.arity[2].parity is None
+
+
+# ---------------------------------------------------------------------------
+# POS certificates (docs/notes.md, "POS certificates")
+# ---------------------------------------------------------------------------
+
+# pos_margin adds a few hundred terms of order one; this bounds its rounding
+_ROUNDING = 1e-13
+# a law of c that is not symmetric: coefficients, then masses
+_ASYMMETRIC = ((-0.5, 0.5), (0.6, 0.4))
+
+
+def _two_spin_parity(law):
+    """Tables 1 + c * parity per arity, with {arity: (coefficients, masses)}."""
+    return WeightFamily(q=2,
+                        tables={k: tuple(1.0 + c * _parity_tensor(k) for c in cs)
+                                for k, (cs, _) in law.items()},
+                        masses={k: np.asarray(p) for k, (_, p) in law.items()})
+
+
+def _parity_series(family, k, pop_a, pop_b, terms):
+    """The parity series of the POS margin through l = ``terms``, and a bound
+    2k sum_i p_i |c_i|^(L+1) / (L (L+1) (1 - |c_i|)) on the rest."""
+    form = family.compiled.arity[k]
+    ls = np.arange(2, terms + 1)
+
+    def moments(pop):
+        points, weights = pop
+        return weights @ (points[:, 0] - points[:, 1])[:, None] ** ls
+
+    m, m_prime = moments(pop_a), moments(pop_b)
+    coupling = form.masses @ form.parity[:, None] ** ls
+    bracket = m ** k + (k - 1) * m_prime ** k - k * m * m_prime ** (k - 1)
+    value = float(((-1.0) ** ls / (ls * (ls - 1)) * coupling * bracket).sum())
+    c = np.abs(form.parity)
+    tail = 2 * k * form.masses @ (c ** (terms + 1) / (terms * (terms + 1) * (1 - c)))
+    return value, float(tail)
+
+
+def _potts_series(family, k, pop_a, pop_b, terms):
+    """The Potts series sum_l c0 gamma^l / (l(l-1)) ||E mu^(x)l - E mu'^(x)l||^2
+    through l = ``terms``, and a bound 2 c0 gamma^(L+1) / (L (L+1) (1 - gamma))
+    on the rest, each averaged over the table law."""
+    assert k == 2
+    form = family.compiled.arity[2]
+    equal = np.eye(family.q, dtype=bool).ravel()
+    c0 = form.flat[:, ~equal][:, 0]
+    gamma = 1.0 - form.flat[:, equal][:, 0] / c0
+    # <mu, mu'>^l for every pair of support points, with the pair's weight
+    pairs = [(sign, x @ y.T, np.outer(wx, wy)) for sign, (x, wx), (y, wy) in
+             ((1.0, pop_a, pop_a), (1.0, pop_b, pop_b), (-2.0, pop_a, pop_b))]
+    powers = [gram.copy() for _, gram, _ in pairs]
+    value = np.zeros(len(c0))
+    for l in range(2, terms + 1):
+        norm = 0.0
+        for (sign, gram, weights), power in zip(pairs, powers):
+            power *= gram
+            norm += sign * (weights * power).sum()
+        value += gamma ** l / (l * (l - 1)) * norm
+    tail = 2 * gamma ** (terms + 1) / (terms * (terms + 1) * (1 - gamma))
+    return float(form.masses @ (c0 * value)), float(form.masses @ (c0 * tail))
+
+
+@pytest.mark.parametrize("family, arities, series, terms", [
+    (models.ldgm(0.25, D2, K23).family, (2, 3), _parity_series, 400),
+    (models.kspin(1.0, K23, d=2.0).family, (2, 3), _parity_series, 2000),
+    # odd l contributes here, with the sign the residue bound assumes
+    (_two_spin_parity({2: _ASYMMETRIC, 3: _ASYMMETRIC}), (2, 3), _parity_series, 400),
+    (models.sbm(2, 2.0, 3).family, (2,), _potts_series, 400),
+    (models.sbm(3, 2.0, 3).family, (2,), _potts_series, 400),
+    (models.sbm(5, 3.0, 8).family, (2,), _potts_series, 400),
+], ids=["ldgm", "kspin", "asymmetric-parity", "sbm-q2", "sbm-q3", "sbm-q5"])
+def test_pos_series_equal_the_margin(family, arities, series, terms):
+    rng = substream(11, family.q)
+    for _ in range(8):
+        pop_a, pop_b = assumptions._candidate_pair(family.q, rng, assumptions._POS_POPULATION)
+        for k in arities:
+            value, tail = series(family, k, pop_a, pop_b, terms)
+            margin = assumptions.pos_margin(family, k, pop_a, pop_b)
+            assert abs(value - margin) <= tail + _ROUNDING
+
+
+# kspin's stored coefficients and masses are mirror-symmetric only to rounding,
+# so its residue bound is positive; ldgm's and the Potts tables' is zero
+@pytest.mark.parametrize("family, certificate, exact", [
+    (models.ldgm(0.25, D2, K23).family, "parity", True),
+    (models.kspin(1.0, K23, d=2.0).family, "parity", False),
+    (models.kspin(0.5, K23, r=4, d=2.0).family, "parity", False),
+    (models.sbm(2, 2.0, 3).family, "potts", True),
+    (models.sbm(3, 2.0, 3).family, "potts", True),
+    (models.sbm(5, 3.0, 8).family, "potts", True),
+], ids=["ldgm", "kspin", "kspin-r4", "sbm-q2", "sbm-q3", "sbm-q5"])
+def test_certify_pos_proves_parity_and_potts_families(family, certificate, exact):
+    rep = assumptions.certify_pos(family)
+    residue = rep.info["residue_bound"]
+    assert rep.passed and rep.witness is None and rep.detail == 0.0
+    assert rep.info == {"trials": 0, "evaluations": 0, "worst_margin": 0.0,
+                        "semantics": "certified", "certificate": certificate,
+                        "residue_bound": residue}
+    assert (residue == 0.0) == exact
+    assert 0.0 <= residue <= assumptions._MARGIN_TOL
+
+
+def _cyclic_channel(q=3, k=3, eta=0.05):
+    """The q-ary symmetric channel on the cyclic sum of k spins: table y is
+    q (1 - eta) where the sum is y mod q and q eta / (q - 1) elsewhere."""
+    sums = np.indices((q,) * k).sum(axis=0) % q
+    tables = tuple(np.where(sums == y, q * (1 - eta), q * eta / (q - 1)) for y in range(q))
+    return WeightFamily(q=q, tables={k: tables}, masses={k: np.full(q, 1.0 / q)})
+
+
+_UNCERTIFIED = {
+    "assortative": (models.sbm(2, 1.0, 3, assortative=True).family, K2),
+    "cyclic-q3": (_cyclic_channel(), DegreeSpec.constant(3)),
+    "asymmetric-parity": (_two_spin_parity({2: _ASYMMETRIC}), K2),
+    "mixed": (_two_spin_parity({2: _ASYMMETRIC, 3: ((-0.5, 0.5), (0.5, 0.5))}), K23),
+}
+
+
+class _FalsifierCalled(Exception):
+    pass
+
+
+@pytest.fixture
+def falsifier_calls(monkeypatch):
+    """Replace ``check_pos`` by a spy that records its arguments and stops the caller."""
+    calls = []
+
+    def spy(family, *, trials, seed=0):
+        calls.append((family, trials, seed))
+        raise _FalsifierCalled
+
+    monkeypatch.setattr(assumptions, "check_pos", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_UNCERTIFIED))
+def test_uncertified_families_run_the_falsifier(name, falsifier_calls):
+    family, kspec = _UNCERTIFIED[name]
+    assert assumptions.certify_pos(family) is None
+    with pytest.raises(_FalsifierCalled):
+        assumptions.check_all(D2, kspec, family, pos_trials=7, seed=3)
+    assert falsifier_calls == [(family, 7, 3)]
+    model = ModelSpec(name=name, q=family.q, dspec=D2, kspec=kspec, family=family)
+    if not assumptions.check_bal(family).passed:
+        # BAL rejects the assortative table before POS is reached
+        assert name == "assortative"
+        return
+    with pytest.raises(_FalsifierCalled):
+        bethe.mutual_information(model, seed=3, pos_trials=7)
+    assert falsifier_calls == [(family, 7, 3)] * 2
+
+
+def test_certified_families_run_no_falsifier(falsifier_calls):
+    model = models.ldgm(0.25, D2, K23)
+    reports = assumptions.check_all(model.dspec, model.kspec, model.family,
+                                    pos_trials=7, seed=3)
+    assert reports["POS"].info["semantics"] == "certified"
+    mi = bethe.mutual_information(models.sbm(3, 0.5, 3), seed=0, pop_size=150,
+                                  sweeps=5, samples=2000, pos_trials=7)
+    assert mi.value >= -3 * mi.stderr
+    assert falsifier_calls == []
 
 
 def test_checkers_deterministic():

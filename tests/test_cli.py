@@ -19,7 +19,7 @@ def test_check_ldgm_passes(capsys):
     assert rc == 0
     assert "SYM: pass xi=1.0" in out
     assert "DEG: pass" in out
-    assert "POS: pass (no-violation-found" in out
+    assert "POS: pass (certified, 0 evaluations)" in out
 
 
 def test_check_fails_on_broken_symmetry(capsys):
@@ -111,6 +111,16 @@ def test_sample_round_trips_through_exact(tmp_path, capsys):
     assert rc == 0
     payload = json.loads((tmp_path / "res.json").read_text())
     assert payload["log_z"] == pytest.approx(exact.partition_function(g).log_z)
+
+
+@pytest.mark.parametrize("table_id", [-1, 2])
+def test_graph_with_unknown_table_id_is_runtime_error(tmp_path, capsys, table_id):
+    path = tmp_path / "bad.graph.txt"
+    path.write_text(f"2 1 2\n2 {table_id} 0 1\n")
+    rc = run_cli(["exact", "--model", "ldgm", "--eta", "0.2", "--dspec", "1", "--kspec", "2",
+                  "--graph", str(path)])
+    assert rc == 2
+    assert "table id out of range" in capsys.readouterr().err
 
 
 def test_sample_planted_records_ground_truth(tmp_path):

@@ -639,6 +639,17 @@ def test_graph_validation_and_with_pins():
                                      factor_tables=g.factor_tables, pins=bad)
 
 
+def test_graph_checks_arities_and_table_ids_against_the_family():
+    fam = models.ldgm(0.2, D2, K2).family
+    assert FactorGraph.from_text("2 1 2\n2 1 0 1\n", fam).factor_tables == (1,)
+    for table_id in (-1, 2):
+        with pytest.raises(ValueError, match="table id out of range"):
+            FactorGraph.from_text(f"2 1 2\n2 {table_id} 0 1\n", fam)
+    for factor in ((0,), (0, 1, 1)):      # the family has pair tables only
+        with pytest.raises(ValueError, match="arity missing"):
+            FactorGraph.from_factors(fam, (2, 2), [(0, 1), factor], (0, 0))
+
+
 def _assert_array_form(g):
     for stored in (g.edge_vars, g.arities, g.tables):
         assert stored.dtype == np.int64 and not stored.flags.writeable

@@ -1,16 +1,18 @@
-"""Randomised invariant sweep over two-spin parity families.
+"""Randomised invariant sweep over two-spin parity and pairwise Potts families.
 
 Families are drawn by ``hypothesis`` with a fixed seed (``derandomize``), so
 every run checks the same examples: LDGM channels with flip probability in
 (0, 1/2], families 1 +- c * parity with a law of c symmetric about 0, arity
-mixes over {2, ..., 5}, and constant, two-point and Poisson degree laws.
+mixes over {2, ..., 5}, and constant, two-point and Poisson degree laws; and
+block models (the Potts antiferromagnet) with q in 3..5, random beta >= 0
+and degree.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorcavity import bethe, exact, models
+from factorcavity import assumptions, bethe, exact, models
 from factorcavity.acceptance import random_tree_graph
 from factorcavity.graphmodel import DegreeSpec, WeightFamily, _parity_tensor, pin
 from factorcavity.models import ModelSpec
@@ -97,6 +99,8 @@ def _plain_contraction(table: np.ndarray, points, open_slot=None):
 @given(model=parity_models(), seed=st.integers(0, 2 ** 16))
 def test_parity_contraction_matches_einsum(model, seed):
     family = model.family
+    # a symmetric coefficient law is what the parity POS certificate proves
+    assert assumptions.certify_pos(family).info["certificate"] == "parity"
     rng = substream(seed, 0)
     rows = 12
     for k in family.arities:
@@ -114,3 +118,17 @@ def test_parity_contraction_matches_einsum(model, seed):
             # the open message feeds points[i, :k-1] to the other slots in order
             reference = _plain_contraction(table, points[i, :k - 1], opens[i])
             assert np.abs(messages[i] - reference).max() <= 1e-12
+
+
+@settings(SWEEP, max_examples=15)
+@given(q=st.integers(3, 5), beta=st.floats(0.0, 4.0), d=st.integers(3, 8),
+       seed=st.integers(0, 2 ** 16))
+def test_potts_families_are_certified_and_keep_pos(q, beta, d, seed):
+    # the certificate is the proof; the margin on drawn balanced pairs must agree
+    family = models.sbm(q, beta, d).family
+    rep = assumptions.certify_pos(family)
+    assert rep is not None and rep.info["certificate"] == "potts"
+    rng = substream(seed, 0)
+    for _ in range(2):
+        pop_a, pop_b = assumptions._candidate_pair(q, rng, assumptions._POS_POPULATION)
+        assert assumptions.pos_margin(family, 2, pop_a, pop_b) >= -assumptions._MARGIN_TOL
