@@ -226,6 +226,8 @@ def bethe_estimate(pi: SimplexPopulation, model, samples: int = DEFAULT_SAMPLES,
     a converged population-dynamics fixed point; off that line the planted
     and Lambda forms are different functionals, and no warning is given.
     """
+    if samples < 2:
+        raise ValueError("the Bethe estimate needs at least 2 samples")
     khat = size_biased(model.kspec)
     coeff = model.dspec.mean / model.kspec.mean
     vals = np.empty(samples)
@@ -244,7 +246,7 @@ def bethe_estimate(pi: SimplexPopulation, model, samples: int = DEFAULT_SAMPLES,
             raise NumericalUnderflow("nonpositive factor mix")
         vals[done:done + b] = log_z - coeff * (ks - 1) * np.log(mixes)
     value = float(vals.mean())
-    stderr = float(vals.std(ddof=1)) / math.sqrt(samples) if samples > 1 else math.inf
+    stderr = float(vals.std(ddof=1)) / math.sqrt(samples)
     return BetheEstimate(value=value, stderr=stderr, samples=samples)
 
 
@@ -287,6 +289,8 @@ def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
     """
     if pop_size < 100:
         raise ValueError("population size must be at least 100")
+    if iters < 0:
+        raise ValueError("the number of sweeps cannot be negative")
     q = model.q
     rng = substream(seed, 80)
     colours = np.arange(pop_size) % q

@@ -199,6 +199,8 @@ class CompiledArity(NamedTuple):
     table_cdf: np.ndarray            # (q**k, tables) CDF of P(psi) psi(tuple)
     rooted_cdf: np.ndarray           # (k*q*tables*q**(k-1),) rooted (table, tuple) CDFs
     other_colours: np.ndarray        # (q**(k-1), k-1) spins of the other slots
+    oriented: np.ndarray             # (distinct, q**(k-1), q) tables read from one slot
+    orientation: np.ndarray          # (tables*k,) index into oriented of table t, slot h
 
 
 class CompiledFamily(NamedTuple):
@@ -327,6 +329,9 @@ class WeightFamily:
         that order; block b lists (table, other slots' spins) pairs with
         weight P(psi) psi(tau) given tau_h = s, as a CDF running from 2b to
         2b + 1, so a search for 2b + u with u in [0, 1) lands in block b.
+        ``oriented`` keeps one contiguous copy of each distinct matrix
+        psi(tau) with rows the other slots' spins and columns tau_h, and
+        ``orientation[t * k + h]`` names the one of table t at slot h.
         """
         q = self.q
         arity = {}
@@ -344,10 +349,15 @@ class WeightFamily:
             rooted[:, -1] = 1.0
             rooted += 2.0 * np.arange(k * q)[:, None]
             others = np.indices((q,) * (k - 1)).reshape(k - 1, q ** (k - 1)).T
+            faces = np.stack([np.moveaxis(t, h, 0).reshape(q, -1).T.ravel()
+                              for t in tabs for h in range(k)])
+            distinct, orientation = np.unique(faces, axis=0, return_inverse=True)
             arity[k] = CompiledArity(flat, self.masses[k],
                                      _parity_coefficients(q, k, flat),
                                      joint.sum(axis=0) / joint.sum(), colours, cdf.T,
-                                     rooted.ravel(), others)
+                                     rooted.ravel(), others,
+                                     distinct.reshape(-1, q ** (k - 1), q),
+                                     orientation.ravel())
         values = np.concatenate([v.ravel() for v in self.marginal_sums().values()])
         return CompiledFamily(arity, float(values.mean()),
                               float(values.max() - values.min()))
@@ -365,31 +375,35 @@ class WeightFamily:
         The closed mix sum_tau psi(tau) prod_j mu_j(tau_j) is the message at
         the last slot contracted with that slot's point, sum_s S(s) mu_k(s).
         Parity arities use S(+-) = 1 +- c prod_j (mu_j(0) - mu_j(1)), which
-        needs points on the simplex; other arities are contracted in groups
-        of rows sharing a table and an open slot.
+        needs points on the simplex; the other arities meet the outer-product
+        grid of their rows' points in one matrix product per distinct
+        oriented table.
         """
         ks = np.asarray(ks, dtype=np.int64)
         tables = np.asarray(tables, dtype=np.int64)
         open_slots = np.asarray(open_slots, dtype=np.int64)
-        q = self.q
-        out = np.empty((len(ks), q))
-        for k in np.flatnonzero(np.bincount(ks)).tolist():
+        out = np.empty((len(ks), self.q))
+        single = len(ks) > 0 and len(self.tables) == 1  # an empty call reads no points
+        for k in list(self.tables) if single else np.flatnonzero(np.bincount(ks)).tolist():
             form = self.compiled.arity[k]
-            rows = np.flatnonzero(ks == k)
+            rows = slice(None) if single else np.flatnonzero(ks == k)
             if form.parity is not None:
                 bias = points[rows, :k - 1, 0] - points[rows, :k - 1, 1]
                 cp = form.parity[tables[rows]] * np.prod(bias, axis=1)
                 out[rows] = np.stack([1.0 + cp, 1.0 - cp], axis=1)
                 continue
-            keys = tables[rows] * k + open_slots[rows]
-            for key in np.flatnonzero(np.bincount(keys)).tolist():
-                sel = rows[keys == key]
-                t, h = divmod(key, k)
-                table = np.moveaxis(form.flat[t].reshape((q,) * k), h, 0).reshape(q, -1)
-                grid = np.ones((len(sel), 1))
-                for j in range(k - 1):
-                    grid = (grid[:, :, None] * points[sel, j][:, None, :]).reshape(len(sel), -1)
-                out[sel] = grid @ table.T
+            grid = np.ones((len(tables[rows]), 1))
+            for j in range(k - 1):
+                grid = (grid[:, :, None] * points[rows, j][:, None, :]).reshape(len(grid), -1)
+            if len(form.oriented) == 1:
+                out[rows] = grid @ form.oriented[0]
+                continue
+            which = form.orientation[tables[rows] * k + open_slots[rows]]
+            part = np.empty((len(grid), self.q))
+            for face in np.flatnonzero(np.bincount(which)).tolist():
+                sel = which == face
+                part[sel] = grid[sel] @ form.oriented[face]
+            out[rows] = part
         return out
 
     @cached_property

@@ -184,6 +184,57 @@ def test_pos_fast_path_matches_generic():
     assert near.compiled.arity[2].parity is None
 
 
+def _kernel_families():
+    """Families that exercise the compiled oriented tables (docs/notes.md,
+    "One contraction kernel"), with the number of distinct oriented tables
+    each arity should keep."""
+    rng = np.random.default_rng(5)
+    base = rng.uniform(0.5, 2.0, (3, 3, 3))
+    # slot 2 of the rolled table reads like slot 0 of the base: 6 - 1 distinct
+    shared = WeightFamily(q=3, tables={3: (base, np.moveaxis(base, 0, -1))},
+                          masses={3: np.array([0.5, 0.5])})
+    pair = WeightFamily(q=3, tables={2: (rng.uniform(0.5, 2.0, (3, 3)),)},
+                        masses={2: np.array([1.0])})
+    unary = WeightFamily(q=3, tables={1: tuple(rng.uniform(0.5, 2.0, (2, 3))),
+                                      2: (rng.uniform(0.5, 2.0, (3, 3)),)},
+                         masses={1: np.array([0.4, 0.6]), 2: np.array([1.0])})
+    mixed = WeightFamily(q=2, tables={2: (1.0 + 0.3 * _parity_tensor(2),),
+                                      3: (rng.uniform(0.5, 2.0, (2, 2, 2)),)},
+                         masses={2: np.array([1.0]), 3: np.array([1.0])})
+    return {"shared": (shared, {3: 5}), "pair": (pair, {2: 2}),
+            "unary": (unary, {1: 2, 2: 2}), "mixed": (mixed, {2: 1, 3: 3})}
+
+
+@pytest.mark.parametrize("name", ["shared", "pair", "unary", "mixed"])
+def test_kernel_matches_the_direct_sum(name):
+    family, distinct = _kernel_families()[name]
+    for k, count in distinct.items():
+        assert len(family.compiled.arity[k].oriented) == count
+    if name == "mixed":
+        assert family.compiled.arity[2].parity is not None
+        assert family.compiled.arity[3].parity is None
+    rng = np.random.default_rng(len(name))
+    width = max(family.arities) - 1
+    for n in (0, 1, 2, 3, 40):
+        ks = rng.choice(family.arities, size=n)
+        tables = rng.integers(0, 2, size=n) % [family.n_tables(k) for k in ks]
+        hs = rng.integers(0, ks)
+        points = rng.dirichlet([0.7] * family.q, size=(n, width))
+        got = family.contract(ks, tables, points, hs)
+        assert got.shape == (n, family.q)
+        for i in range(n):
+            ref = _brute_contract(family, ks[i], tables[i], points[i], hs[i])
+            assert np.abs(got[i] - ref).max() <= 1e-13
+
+
+def test_block_model_keeps_one_oriented_table():
+    for q in range(2, 6):
+        family = models.sbm(q, 1.3, 4).family
+        assert len(family.compiled.arity[2].oriented) == 1
+        # a batch of no rows, shaped as population dynamics draws it
+        assert family.contract([], [], np.zeros((0, 0, q)), []).shape == (0, q)
+
+
 # ---------------------------------------------------------------------------
 # POS certificates (docs/notes.md, "POS certificates")
 # ---------------------------------------------------------------------------

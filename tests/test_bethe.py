@@ -222,6 +222,23 @@ def test_planted_draw_refuses_a_family_without_sym():
         bethe.population_dynamics(model, pop_size=100, iters=1)
 
 
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_estimate_refuses_fewer_than_two_samples(samples):
+    # a standard error needs two samples; fewer used to give NaN or infinity
+    model = models.ldgm(0.3, D2, K2)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        bethe.bethe_estimate(SimplexPopulation.uniform_atom(2), model, samples=samples)
+    est = bethe.bethe_estimate(SimplexPopulation.uniform_atom(2), model, samples=2)
+    assert math.isfinite(est.value) and math.isfinite(est.stderr)
+
+
+def test_dynamics_refuses_negative_sweeps():
+    model = models.ldgm(0.3, D2, K2)
+    with pytest.raises(ValueError, match="negative"):
+        bethe.population_dynamics(model, pop_size=100, iters=-3)
+    assert bethe.population_dynamics(model, pop_size=100, iters=0).generation == 0
+
+
 def test_ldgm_mutual_information_at_most_log_two():
     # Montanari's code family at low noise: 0 <= MI <= ln 2 within 3 SE
     for eta in (0.05, 0.1):
@@ -332,6 +349,32 @@ def test_dynamics_stops_at_the_exact_uniform_atom():
     a = bethe.bethe_estimate(pop, model, samples=3000, seed=1)
     b = bethe.bethe_estimate(full, full_model, samples=3000, seed=1)
     assert (a.value, a.stderr) == (b.value, b.stderr)
+
+
+@pytest.mark.parametrize("model", [
+    models.ldgm(0.1, DegreeSpec.constant(6), DegreeSpec.constant(3)),
+    models.kspin(1.0, K23),
+    models.sbm(3, 1.0, 5),
+    models.sbm(3, 4.0, 5),
+    models.sbm(2, 3.0, 3),
+], ids=["ldgm", "kspin", "sbm3-1", "sbm3-4", "sbm2-3"])
+def test_uniform_messages_do_not_depend_on_the_rows_per_call(model):
+    # the early stop takes a row's uniform message to be equal in every
+    # component whatever the call's size and whichever rows share it
+    family = model.family
+    assert family.uniform_is_fixed
+    q = family.q
+    triples = [(k, t, h) for k in family.arities
+               for t in range(family.n_tables(k)) for h in range(k)]
+    width = max(family.arities) - 1
+    for rows in [*range(1, 40), 63, 64, 65, 255, 256, 257, 1000, 1024, 2049]:
+        points = np.full((rows, width, q), 1.0 / q)
+        # one call cycling through every (arity, table, slot), one call per triple
+        calls = [np.array(triples)[np.arange(rows) % len(triples)].T]
+        calls += [np.tile(np.array([[k], [t], [h]]), rows) for k, t, h in triples]
+        for ks, tables, hs in calls:
+            messages = family.contract(ks, tables, points, hs)
+            assert np.all(messages == messages[:, :1])
 
 
 def test_dynamics_runs_every_sweep_off_the_uniform_atom():

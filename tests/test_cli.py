@@ -204,6 +204,20 @@ def test_bethe_command(tmp_path):
     assert payload["sup"] == pytest.approx(float(np.log(2)), abs=1e-12)
 
 
+@pytest.mark.parametrize("budget, message", [
+    (["--samples", "0"], "at least 2 samples"),
+    (["--samples", "1"], "at least 2 samples"),
+    (["--sweeps", "-3"], "negative"),
+])
+def test_bethe_command_rejects_unusable_budgets(tmp_path, capsys, budget, message):
+    rc = run_cli(["bethe", "--model", "ldgm", "--eta", "0.3", "--dspec", "2", "--kspec", "2",
+                  "--pop-size", "200", "--sweeps", "2", *budget,
+                  "--out", str(tmp_path / "b")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
+
+
 def _mi_scan_config(tmp_path):
     cfg = {
         "model": {"name": "ldgm", "dspec": 2, "kspec": 2},
