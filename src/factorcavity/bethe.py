@@ -74,12 +74,12 @@ class SimplexPopulation:
         return cls(np.full((q, q), 1.0 / q))
 
     def draw(self, rng: np.random.Generator, colours) -> np.ndarray:
-        """One uniformly chosen point of colour ``colours[...]`` per entry,
-        as an array of shape ``colours.shape + (q,)``."""
+        """The index of one uniformly chosen point of colour ``colours[...]``
+        per entry, shaped like ``colours``; it reads no point value."""
         colours = np.asarray(colours, dtype=np.int64)
         counts = (self.size - colours + self.q - 1) // self.q
         rank = np.minimum((rng.random(colours.shape) * counts).astype(np.int64), counts - 1)
-        return self.points[colours + self.q * rank]
+        return colours + self.q * rank
 
 
 @dataclass
@@ -166,14 +166,15 @@ def bethe_uniform_atom(model) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _planted_messages(model, pop: SimplexPopulation, klaw: DegreeSpec,
-                      roots: np.ndarray, rng: np.random.Generator):
-    """Arities and open-slot messages of factors hanging off root colours.
+def _planted_draw(model, pop: SimplexPopulation, klaw: DegreeSpec,
+                  roots: np.ndarray, rng: np.random.Generator):
+    """Arities, tables, open slots and fed point indices of factors hanging
+    off root colours; no point value is read.
 
     Row i is a factor with arity from ``klaw`` and a uniform open slot h.
     Its table and spin tuple are drawn jointly with weight P(psi) psi(tau)
-    given tau_h = ``roots[i]``, each other slot j takes a population point of
-    colour tau_j, and the message is the table contracted at slot h.
+    given tau_h = ``roots[i]``, each other slot j takes the index of a point
+    of colour tau_j, and the caller contracts the table at slot h.
     """
     family = model.family
     family.xi()  # the rooted draw is the planted law only under SYM
@@ -184,16 +185,16 @@ def _planted_messages(model, pop: SimplexPopulation, klaw: DegreeSpec,
     tables = np.zeros(count, dtype=np.int64)
     others = np.zeros((count, int(ks.max(initial=1)) - 1), dtype=np.int64)
     for k in np.flatnonzero(np.bincount(ks)).tolist():
-        rows = np.flatnonzero(ks == k)
+        rows = np.flatnonzero(ks == k) if len(family.tables) > 1 else slice(None)
         form = family.compiled.arity[k]
-        hs[rows] = rng.integers(0, k, size=len(rows))
+        hs[rows] = rng.integers(0, k, size=len(roots[rows]))
         block = hs[rows] * q + roots[rows]
-        pick = np.searchsorted(form.rooted_cdf, 2 * block + rng.random(len(rows)))
+        pick = np.searchsorted(form.rooted_cdf, 2 * block + rng.random(len(block)))
         rest = q ** (k - 1)
         tables[rows] = pick // rest % len(form.masses)
         others[rows, :k - 1] = form.other_colours[pick % rest]
     # slots past a row's own arity draw colour 0 and are never read
-    return ks, family.contract(ks, tables, pop.draw(rng, others), hs)
+    return ks, tables, hs, pop.draw(rng, others)
 
 
 def _log_products(messages: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -236,12 +237,13 @@ def bethe_estimate(pi: SimplexPopulation, model, samples: int = DEFAULT_SAMPLES,
         rng = substream(seed, 70, chunk_id)
         roots = rng.integers(0, model.q, size=b)
         ds = model.dspec.sample(rng, b)
-        _, messages = _planted_messages(model, pi, khat, np.repeat(roots, ds), rng)
-        logs = _log_products(messages, ds)
+        ks, tables, hs, idx = _planted_draw(model, pi, khat, np.repeat(roots, ds), rng)
+        logs = _log_products(model.family.contract(ks, tables, pi.points[idx], hs), ds)
         top = logs.max(axis=1)
         log_z = top + np.log(np.exp(logs - top[:, None]).sum(axis=1))
-        ks, messages = _planted_messages(model, pi, model.kspec, roots, rng)
-        mixes = (messages * pi.draw(rng, roots)).sum(axis=1)
+        ks, tables, hs, idx = _planted_draw(model, pi, model.kspec, roots, rng)
+        messages = model.family.contract(ks, tables, pi.points[idx], hs)
+        mixes = (messages * pi.points[pi.draw(rng, roots)]).sum(axis=1)
         if np.any(mixes <= 0):
             raise NumericalUnderflow("nonpositive factor mix")
         vals[done:done + b] = log_z - coeff * (ks - 1) * np.log(mixes)
@@ -276,11 +278,13 @@ def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
                         init: str = "uniform-perturbed", seed: int = 0) -> SimplexPopulation:
     """Iterate the planted distributional update on a colour-labelled population.
 
-    Point i has the fixed colour i mod q.  One sweep replaces every point
-    once, in random order and in batches of at most a quarter of the
-    population that read the pre-batch population: a new point of colour s
-    is the normalised product of excess-degree many planted messages rooted
-    at s.  ``uniform-perturbed`` starts every point near the uniform vector;
+    Point i has the fixed colour i mod q.  No random choice depends on a
+    point's value, so a sweep first draws its whole planted tree, then
+    replaces every point once, in random order and in batches of at most a
+    quarter of the population, each gathering its points from the population
+    as the batch before left it: a new point of colour s is the normalised
+    product of excess-degree many planted messages rooted at s.
+    ``uniform-perturbed`` starts every point near the uniform vector;
     ``planted-polarized`` starts each point near the corner of its own
     colour.  A run stops early after a sweep that leaves every point at
     exactly 1/q when the family makes that atom an exact fixed point
@@ -302,18 +306,20 @@ def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
     batch = min(_BATCH, -(-pop_size // 4))
     for sweep in range(iters):
         order = rng.permutation(pop_size)
+        dstar = excess.sample(rng, pop_size)
+        ks, tables, hs, idx = _planted_draw(model, pop, khat, np.repeat(colours[order], dstar), rng)
+        ends = np.concatenate([[0], np.cumsum(dstar)])
         for start in range(0, pop_size, batch):
-            targets = order[start:start + batch]
-            dstar = excess.sample(rng, len(targets))
-            roots = np.repeat(colours[targets], dstar)
-            _, messages = _planted_messages(model, pop, khat, roots, rng)
-            acc = _log_products(messages, dstar)
+            stop = min(start + batch, pop_size)
+            at = slice(ends[start], ends[stop])
+            messages = model.family.contract(ks[at], tables[at], pop.points[idx[at]], hs[at])
+            acc = _log_products(messages, dstar[start:stop])
             acc -= acc.max(axis=1, keepdims=True)
             new_pts = np.exp(acc)
             norms = new_pts.sum(axis=1, keepdims=True)
             if np.any(norms <= 0) or np.any(~np.isfinite(norms)):
                 raise NumericalUnderflow("point normaliser underflowed")
-            pop.points[targets] = new_pts / norms
+            pop.points[order[start:stop]] = new_pts / norms
         pop.generation += 1
         if model.family.uniform_is_fixed and np.all(pop.points == 1.0 / q):
             break
@@ -340,6 +346,8 @@ def sup_bethe(model, seed: int = 0, *,
     leave a population whose planted-form value is not B of any
     population); returns which candidate won and every candidate's value.
     """
+    if samples < 2 or sweeps < 0:
+        raise ValueError(f"need at least 2 samples and no negative sweeps, got {samples}, {sweeps}")
     candidates = {"uniform-atom": (bethe_uniform_atom(model), 0.0)}
     for flag, init in enumerate(_INITS):
         child = int(substream(seed, 81, flag).integers(2 ** 62))

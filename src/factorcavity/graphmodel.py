@@ -408,16 +408,18 @@ class WeightFamily:
 
     @cached_property
     def uniform_is_fixed(self) -> bool:
-        """Whether :meth:`contract` on uniform points gives, for every arity,
-        table and open slot, a message with bitwise-equal components, so that
-        the uniform atom is an exact floating-point fixed point of
-        population dynamics."""
+        """Whether :meth:`contract` on uniform points gives a message with
+        bitwise-equal components for every arity, table and open slot, in one
+        call over them all and in a one-row call each, so that the uniform
+        atom is an exact floating-point fixed point of population dynamics."""
         for k, tabs in self.tables.items():
             tables, slots = np.divmod(np.arange(len(tabs) * k), k)
             points = np.full((len(slots), k - 1, self.q), 1.0 / self.q)
-            messages = self.contract(np.full(len(slots), k), tables, points, slots)
-            if np.any(messages != messages[:, :1]):
-                return False
+            for rows in [slice(None)] + [slice(i, i + 1) for i in range(len(slots))]:
+                messages = self.contract(np.full(len(slots), k)[rows], tables[rows],
+                                         points[rows], slots[rows])
+                if np.any(messages != messages[:, :1]):
+                    return False
         return True
 
 

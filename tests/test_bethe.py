@@ -93,15 +93,16 @@ def test_useless_channel_estimate_constant_for_any_population():
 def test_variable_term_normalisation_at_uniform_atom():
     # every planted message into the uniform atom is xi, whatever its root,
     # arity, open slot or table
-    from factorcavity.bethe import _planted_messages
+    from factorcavity.bethe import _planted_draw
 
     for model in (models.sbm(2, 0.9, 3), models.sbm(3, 2.0, 4),
                   models.kspin(1.0, K23, r=4, d=2.0)):
         pop = SimplexPopulation.uniform_atom(model.q)
         rng = substream(5, 0)
         roots = rng.integers(0, model.q, size=4000)
-        _, messages = _planted_messages(model, pop, bethe.size_biased(model.kspec),
-                                        roots, rng)
+        ks, tables, hs, idx = _planted_draw(model, pop, bethe.size_biased(model.kspec),
+                                            roots, rng)
+        messages = model.family.contract(ks, tables, pop.points[idx], hs)
         assert messages.shape == (4000, model.q)
         assert np.abs(messages - model.family.xi()).max() <= 1e-12
 
@@ -202,8 +203,8 @@ def test_population_draws_points_of_the_asked_colour():
     pts = rng.dirichlet([1.0] * 3, size=11)
     pop = SimplexPopulation(pts)
     asked = rng.integers(0, 3, size=3000)
-    drawn = pop.draw(rng, asked)
-    index = np.array([int(np.flatnonzero((pts == row).all(axis=1))[0]) for row in drawn])
+    index = pop.draw(rng, asked)
+    assert index.shape == asked.shape
     assert np.array_equal(index % 3, asked)
     assert set(index.tolist()) == set(range(11))
     with pytest.raises(ValueError):
@@ -230,6 +231,16 @@ def test_estimate_refuses_fewer_than_two_samples(samples):
         bethe.bethe_estimate(SimplexPopulation.uniform_atom(2), model, samples=samples)
     est = bethe.bethe_estimate(SimplexPopulation.uniform_atom(2), model, samples=2)
     assert math.isfinite(est.value) and math.isfinite(est.stderr)
+
+
+@pytest.mark.parametrize("budget", [{"samples": 1}, {"samples": 0}, {"sweeps": -1}])
+def test_sup_bethe_refuses_an_unusable_budget_before_any_dynamics(monkeypatch, budget):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("population dynamics ran")
+
+    monkeypatch.setattr(bethe, "population_dynamics", unreachable)
+    with pytest.raises(ValueError):
+        bethe.sup_bethe(models.sbm(3, 2.5, 5), **budget)
 
 
 def test_dynamics_refuses_negative_sweeps():
@@ -375,6 +386,18 @@ def test_uniform_messages_do_not_depend_on_the_rows_per_call(model):
         for ks, tables, hs in calls:
             messages = family.contract(ks, tables, points, hs)
             assert np.all(messages == messages[:, :1])
+
+
+@pytest.mark.parametrize("q, beta", [(7, 4.5), (6, 0.0), (3, 2.5)])
+def test_uniform_is_not_fixed_where_a_one_row_call_rounds_apart(q, beta):
+    # at q = 7 and 6 every row of one uniform call over all (table, slot)
+    # pairs has equal components, but a one-row call of some pair does not
+    family = models.sbm(q, beta, 5).family
+    points = np.full((1, 1, q), 1.0 / q)
+    one_row = [family.contract([2], [t], points, [h])
+               for t in range(family.n_tables(2)) for h in range(2)]
+    assert any(np.any(m != m[:, :1]) for m in one_row)
+    assert not family.uniform_is_fixed
 
 
 def test_dynamics_runs_every_sweep_off_the_uniform_atom():
@@ -525,8 +548,9 @@ def test_lrc_bracket_reproducible_across_seeds():
 
 # (model, init) -> (sum of the first spin column, first two points,
 # estimate value, estimate stderr) for 5 sweeps of 200 points, seed 3,
-# and a 3000-sample estimate, seed 4; recorded with the planted-tree draw
-# and batches of a quarter of the population
+# and a 3000-sample estimate, seed 4; recorded with the planted-tree draw,
+# batches of a quarter of the population, and each sweep's tree drawn
+# before its first batch
 _SEEDED_PD = {
     ("ldgm", "uniform-perturbed"): (
         100.0,
@@ -534,30 +558,30 @@ _SEEDED_PD = {
          [0.5, 0.5]],
         0.6931471805599454, 2.0273185627517274e-18),
     ("ldgm", "planted-polarized"): (
-        100.0000036096239,
-        [[0.5000000000000009, 0.49999999999999906],
-         [0.5000000059305236, 0.49999999406947643]],
-        0.6931471805599454, 3.157891681642199e-18),
+        99.99999800796348,
+        [[0.49999999999832956, 0.5000000000016704],
+         [0.5000000363037611, 0.49999996369623895]],
+        0.6931471805599454, 3.0362437492057098e-18),
     ("kspin", "uniform-perturbed"): (
-        99.99358256764319,
-        [[0.49991078908692843, 0.5000892109130716],
-         [0.5000000007439751, 0.4999999992560249]],
-        0.6931472693007483, 6.026013138626719e-08),
+        100.01793136072149,
+        [[0.5000000016310198, 0.4999999983689802],
+         [0.5026920645488707, 0.4973079354511292]],
+        0.6931472265820521, 3.755658844918089e-07),
     ("kspin", "planted-polarized"): (
-        100.14525568755097,
-        [[0.5481296035616176, 0.4518703964383825],
-         [0.5144362934646444, 0.48556370653535563]],
-        0.6928619721802406, 0.00017042989063959055),
+        100.85509379048405,
+        [[0.49999983681037463, 0.5000001631896254],
+         [0.7188823090397347, 0.28111769096026523]],
+        0.69341331299433, 0.00021019268597293706),
     ("sbm", "uniform-perturbed"): (
-        66.62826749266607,
-        [[0.33042820669535317, 0.3326565088088974, 0.33691528449574937],
-         [0.3265136560931622, 0.3293539956554398, 0.34413234825139805]],
-        0.18559454579468668, 4.655015763591805e-05),
+        66.77343614153037,
+        [[0.3261442680740568, 0.3725199430180496, 0.3013357889078937],
+         [0.35292449757431593, 0.3273082171530039, 0.31976728527268017]],
+        0.18553249811114816, 3.140570755857079e-05),
     ("sbm", "planted-polarized"): (
-        67.2962612703945,
-        [[0.6102125853844509, 0.1839426537757357, 0.2058447608398135],
-         [0.47027102070133436, 0.06228796335515044, 0.4674410159435152]],
-        0.18219170910269547, 0.0044142411706787135),
+        62.53393968869607,
+        [[0.5006570991421435, 0.07511077559989786, 0.42423212525795867],
+         [0.3386033041793361, 0.4306649126332358, 0.230731783187428]],
+        0.18658537028423697, 0.0040119168415303635),
 }
 
 # model -> (sum of the first spin column of the BP marginals, marginals of
@@ -576,12 +600,41 @@ _SEEDED_BP = {
 }
 
 
+# model -> (value, stderr) of a 10,000-sample estimate, seed 4, on the
+# hand-built population of _fixed_population; recorded before population
+# dynamics drew each sweep's tree up front, which left these bits unchanged.
+# The tolerance admits only another machine's last-bit exp/log/BLAS
+# rounding: a moved stream moves a value by about its stderr.
+_SEEDED_ESTIMATE = {
+    "ldgm": (0.6964275725002873, 0.0015450175281728645),
+    "kspin": (0.6973330500594568, 0.0015842933576749182),
+    "sbm": (0.18693617607831894, 0.0024255909170855187),
+}
+
+
+def _seeded_models():
+    return {"ldgm": models.ldgm(0.3, DegreeSpec.constant(6), DegreeSpec.constant(3)),
+            "kspin": models.kspin(1.0, K23),
+            "sbm": models.sbm(3, 2.5, 5)}
+
+
+def _fixed_population(q, size=200):
+    raw = 1.0 + (7 * np.arange(size)[:, None] + 3 * np.arange(q)) % 11
+    return SimplexPopulation(raw / raw.sum(axis=1, keepdims=True))
+
+
+def test_estimate_stream_reproduces_on_a_fixed_population():
+    for name, model in _seeded_models().items():
+        est = bethe.bethe_estimate(_fixed_population(model.q), model, samples=10_000, seed=4)
+        value, stderr = _SEEDED_ESTIMATE[name]
+        assert est.value == pytest.approx(value, rel=0, abs=1e-13)
+        assert est.stderr == pytest.approx(stderr, rel=0, abs=1e-13)
+
+
 def test_seeded_values_reproduce():
     from factorcavity import assumptions, exact, graphmodel
 
-    pd_models = {"ldgm": models.ldgm(0.3, DegreeSpec.constant(6), DegreeSpec.constant(3)),
-                 "kspin": models.kspin(1.0, K23),
-                 "sbm": models.sbm(3, 2.5, 5)}
+    pd_models = _seeded_models()
     for (name, init), (col_sum, rows, value, stderr) in _SEEDED_PD.items():
         model = pd_models[name]
         pop = bethe.population_dynamics(model, pop_size=200, iters=5, init=init, seed=3)
