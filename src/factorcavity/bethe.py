@@ -33,6 +33,7 @@ DEFAULT_POS_TRIALS = 200
 _CHUNK = 1 << 13
 # the largest population-dynamics batch, reached from 1021 points on
 _BATCH = 256
+_DRAWN_BATCHES = 64  # batches per planted-tree draw: a whole sweep to 16384 points
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +169,12 @@ def bethe_uniform_atom(model) -> float:
 
 def _planted_draw(model, pop: SimplexPopulation, klaw: DegreeSpec,
                   roots: np.ndarray, rng: np.random.Generator):
-    """Arities, tables, open slots and fed point indices of factors hanging
-    off root colours; no point value is read.
+    """Arities, tables, open slots and fed point indices of rooted factors.
 
     Row i is a factor with arity from ``klaw`` and a uniform open slot h.
     Its table and spin tuple are drawn jointly with weight P(psi) psi(tau)
     given tau_h = ``roots[i]``, each other slot j takes the index of a point
-    of colour tau_j, and the caller contracts the table at slot h.
+    of colour tau_j, no value read, and the caller contracts the table at slot h.
     """
     family = model.family
     family.xi()  # the rooted draw is the planted law only under SYM
@@ -185,11 +185,11 @@ def _planted_draw(model, pop: SimplexPopulation, klaw: DegreeSpec,
     tables = np.zeros(count, dtype=np.int64)
     others = np.zeros((count, int(ks.max(initial=1)) - 1), dtype=np.int64)
     for k in np.flatnonzero(np.bincount(ks)).tolist():
-        rows = np.flatnonzero(ks == k) if len(family.tables) > 1 else slice(None)
+        rows = np.flatnonzero(ks == k)
         form = family.compiled.arity[k]
-        hs[rows] = rng.integers(0, k, size=len(roots[rows]))
+        hs[rows] = rng.integers(0, k, size=len(rows))
         block = hs[rows] * q + roots[rows]
-        pick = np.searchsorted(form.rooted_cdf, 2 * block + rng.random(len(block)))
+        pick = np.searchsorted(form.rooted_cdf, 2 * block + rng.random(len(rows)))
         rest = q ** (k - 1)
         tables[rows] = pick // rest % len(form.masses)
         others[rows, :k - 1] = form.other_colours[pick % rest]
@@ -278,18 +278,17 @@ def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
                         init: str = "uniform-perturbed", seed: int = 0) -> SimplexPopulation:
     """Iterate the planted distributional update on a colour-labelled population.
 
-    Point i has the fixed colour i mod q.  No random choice depends on a
-    point's value, so a sweep first draws its whole planted tree, then
-    replaces every point once, in random order and in batches of at most a
-    quarter of the population, each gathering its points from the population
-    as the batch before left it: a new point of colour s is the normalised
-    product of excess-degree many planted messages rooted at s.
-    ``uniform-perturbed`` starts every point near the uniform vector;
-    ``planted-polarized`` starts each point near the corner of its own
-    colour.  A run stops early after a sweep that leaves every point at
-    exactly 1/q when the family makes that atom an exact fixed point
-    (``WeightFamily.uniform_is_fixed``): each later sweep would write the
-    same bits again.  ``generation`` counts the sweeps run.
+    Point i has the fixed colour i mod q.  A sweep replaces every point once,
+    in random order and in batches of at most a quarter of the population,
+    each reading the population as the batch before left it: a new point of
+    colour s is the normalised product of excess-degree many planted messages
+    rooted at s.  No random choice reads a point's value, so the planted tree
+    is drawn ahead, up to 64 batches at once.  ``uniform-perturbed`` starts
+    every point near the uniform vector; ``planted-polarized`` starts each
+    point near the corner of its own colour.  A run stops early after a sweep
+    that leaves every point at exactly 1/q when the family makes that atom an
+    exact fixed point (``WeightFamily.uniform_is_fixed``): each later sweep
+    would write the same bits again.  ``generation`` counts the sweeps run.
     """
     if pop_size < 100:
         raise ValueError("population size must be at least 100")
@@ -306,20 +305,22 @@ def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
     batch = min(_BATCH, -(-pop_size // 4))
     for sweep in range(iters):
         order = rng.permutation(pop_size)
-        dstar = excess.sample(rng, pop_size)
-        ks, tables, hs, idx = _planted_draw(model, pop, khat, np.repeat(colours[order], dstar), rng)
-        ends = np.concatenate([[0], np.cumsum(dstar)])
-        for start in range(0, pop_size, batch):
-            stop = min(start + batch, pop_size)
-            at = slice(ends[start], ends[stop])
-            messages = model.family.contract(ks[at], tables[at], pop.points[idx[at]], hs[at])
-            acc = _log_products(messages, dstar[start:stop])
-            acc -= acc.max(axis=1, keepdims=True)
-            new_pts = np.exp(acc)
-            norms = new_pts.sum(axis=1, keepdims=True)
-            if np.any(norms <= 0) or np.any(~np.isfinite(norms)):
-                raise NumericalUnderflow("point normaliser underflowed")
-            pop.points[order[start:stop]] = new_pts / norms
+        for first in range(0, pop_size, batch * _DRAWN_BATCHES):
+            targets = order[first:first + batch * _DRAWN_BATCHES]
+            dstar = excess.sample(rng, len(targets))
+            roots = np.repeat(colours[targets], dstar)
+            ks, tables, hs, idx = _planted_draw(model, pop, khat, roots, rng)
+            ends = np.concatenate([[0], np.cumsum(dstar)])
+            for start in range(0, len(targets), batch):
+                at = slice(ends[start], ends[min(start + batch, len(targets))])
+                messages = model.family.contract(ks[at], tables[at], pop.points[idx[at]], hs[at])
+                acc = _log_products(messages, dstar[start:start + batch])
+                acc -= acc.max(axis=1, keepdims=True)
+                new_pts = np.exp(acc)
+                norms = new_pts.sum(axis=1, keepdims=True)
+                if np.any(norms <= 0) or np.any(~np.isfinite(norms)):
+                    raise NumericalUnderflow("point normaliser underflowed")
+                pop.points[targets[start:start + batch]] = new_pts / norms
         pop.generation += 1
         if model.family.uniform_is_fixed and np.all(pop.points == 1.0 / q):
             break

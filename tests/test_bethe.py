@@ -388,16 +388,54 @@ def test_uniform_messages_do_not_depend_on_the_rows_per_call(model):
             assert np.all(messages == messages[:, :1])
 
 
-@pytest.mark.parametrize("q, beta", [(7, 4.5), (6, 0.0), (3, 2.5)])
-def test_uniform_is_not_fixed_where_a_one_row_call_rounds_apart(q, beta):
-    # at q = 7 and 6 every row of one uniform call over all (table, slot)
-    # pairs has equal components, but a one-row call of some pair does not
+@pytest.mark.parametrize("q, beta", [(7, 4.5), (6, 0.0), (3, 1.0), (3, 2.5), (3, 4.0)])
+def test_uniform_is_fixed_iff_every_call_gives_equal_components(q, beta):
+    # the verdict covers one uniform call over all (table, slot) pairs and a
+    # one-row call of each pair; whether a given call rounds its components
+    # apart depends on the matrix-vector kernel, so the test reads the calls
     family = models.sbm(q, beta, 5).family
-    points = np.full((1, 1, q), 1.0 / q)
-    one_row = [family.contract([2], [t], points, [h])
-               for t in range(family.n_tables(2)) for h in range(2)]
-    assert any(np.any(m != m[:, :1]) for m in one_row)
+    tables, slots = np.divmod(np.arange(2 * family.n_tables(2)), 2)
+    points = np.full((len(slots), 1, q), 1.0 / q)
+    calls = [slice(None)] + [slice(i, i + 1) for i in range(len(slots))]
+    messages = [family.contract(np.full(len(slots), 2)[rows], tables[rows], points[rows],
+                                slots[rows]) for rows in calls]
+    assert family.uniform_is_fixed == all(np.all(m == m[:, :1]) for m in messages)
+
+
+def test_uniform_is_not_fixed_when_only_a_one_row_call_rounds_apart(monkeypatch):
+    contract = WeightFamily.contract
+
+    def one_row_skewed(self, ks, tables, points, open_slots):
+        messages = contract(self, ks, tables, points, open_slots)
+        if len(messages) == 1:
+            messages = messages.copy()
+            messages[0, 0] = np.nextafter(messages[0, 0], np.inf)
+        return messages
+
+    family = models.sbm(3, 1.0, 5).family
+    monkeypatch.setattr(WeightFamily, "contract", one_row_skewed)
     assert not family.uniform_is_fixed
+
+
+def test_dynamics_draws_a_long_sweep_in_parts(monkeypatch):
+    # past _DRAWN_BATCHES batches a sweep draws its planted tree in parts, so
+    # the draw's memory stops growing with the population; each part still
+    # rewrites its own points once
+    sizes = []
+    draw = bethe._planted_draw
+
+    def counted(model, pop, klaw, roots, rng):
+        sizes.append(len(roots))
+        return draw(model, pop, klaw, roots, rng)
+
+    model = models.sbm(3, 2.5, 5)  # every excess degree is 4
+    start = bethe.population_dynamics(model, 1000, 0, seed=0).points
+    monkeypatch.setattr(bethe, "_DRAWN_BATCHES", 3)
+    monkeypatch.setattr(bethe, "_planted_draw", counted)
+    pop = bethe.population_dynamics(model, 1000, 1, seed=0)
+    assert sizes == [3 * 250 * 4, 250 * 4]
+    assert np.all((pop.points != start).any(axis=1))
+    assert np.allclose(pop.points.sum(axis=1), 1.0)
 
 
 def test_dynamics_runs_every_sweep_off_the_uniform_atom():
