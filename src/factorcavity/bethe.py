@@ -58,7 +58,7 @@ class SimplexPopulation:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < pts.shape[1]:
             raise ValueError("points must be a (size, q) array with size >= q")
-        if np.any(pts < 0) or np.abs(pts.sum(axis=1) - 1.0).max() > 1e-10:
+        if not (pts.min() >= 0 and np.abs(pts.sum(axis=1) - 1.0).max() <= 1e-10):
             raise ValueError("population points must lie on the simplex")
         self.points = pts
 
@@ -176,38 +176,42 @@ def _planted_draw(model, pop: SimplexPopulation, klaw: DegreeSpec,
     given tau_h = ``roots[i]``, each other slot j takes the index of a point
     of colour tau_j, no value read, and the caller contracts the table at slot h.
     """
-    family = model.family
-    family.xi()  # the rooted draw is the planted law only under SYM
-    q = model.q
-    count = len(roots)
-    ks = klaw.sample(rng, count)
-    hs = np.zeros(count, dtype=np.int64)
-    tables = np.zeros(count, dtype=np.int64)
-    others = np.zeros((count, int(ks.max(initial=1)) - 1), dtype=np.int64)
+    model.family.xi()  # the rooted draw is the planted law only under SYM
+    ks = klaw.sample(rng, len(roots))
+    hs, tables = np.zeros((2, len(roots)), dtype=np.int64)
+    others = np.zeros((len(roots), int(ks.max(initial=1)) - 1), dtype=np.int64)
     for k in np.flatnonzero(np.bincount(ks)).tolist():
         rows = np.flatnonzero(ks == k)
-        form = family.compiled.arity[k]
+        form = model.family.compiled.arity[k]
         hs[rows] = rng.integers(0, k, size=len(rows))
-        block = hs[rows] * q + roots[rows]
-        pick = np.searchsorted(form.rooted_cdf, 2 * block + rng.random(len(rows)))
-        rest = q ** (k - 1)
-        tables[rows] = pick // rest % len(form.masses)
-        others[rows, :k - 1] = form.other_colours[pick % rest]
+        pick = _rooted_pick(form, 2 * (hs[rows] * model.q + roots[rows]) + rng.random(len(rows)))
+        tables[rows] = form.rooted_table[pick]
+        others[rows, :k - 1] = form.rooted_others[pick]
     # slots past a row's own arity draw colour 0 and are never read
     return ks, tables, hs, pop.draw(rng, others)
 
 
-def _log_products(messages: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Per-variable sums of log message components, (len(degrees), q).
+def _rooted_pick(form, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(form.rooted_cdf, keys)``, pick for pick: each key starts
+    at its cell's guide and steps once; keys still short take the binary search."""
+    pick = form.rooted_guide[(keys * form.rooted_scale).astype(np.int64)]
+    pick += form.rooted_cdf[pick] < keys
+    short = np.flatnonzero(form.rooted_cdf[pick] < keys)
+    pick[short] = np.searchsorted(form.rooted_cdf, keys[short])
+    return pick
 
-    Variable i owns the next ``degrees[i]`` rows of ``messages``; a variable
-    of degree 0 gets zeros.
+
+def _log_products(messages: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Per-variable sums of log message components, (len(ends) - 1, q).
+
+    Variable i owns rows ``ends[i] - ends[0]`` up to ``ends[i + 1] - ends[0]``
+    of ``messages``; a variable with no rows gets zeros.
     """
-    if np.any(~np.isfinite(messages)) or np.any(messages <= 0):
+    if not (messages.min(initial=np.inf) > 0 and messages.max(initial=0.0) < np.inf):
         raise NumericalUnderflow("message component out of range")
-    offsets = np.concatenate([[0], np.cumsum(degrees)[:-1]]).astype(np.int64)
     padded = np.concatenate([np.log(messages), np.zeros((1, messages.shape[1]))])
-    return np.where(degrees[:, None] > 0, np.add.reduceat(padded, offsets, axis=0), 0.0)
+    sums = np.add.reduceat(padded, ends[:-1] - ends[0], axis=0)
+    return np.where((ends[1:] > ends[:-1])[:, None], sums, 0.0)
 
 
 def bethe_estimate(pi: SimplexPopulation, model, samples: int = DEFAULT_SAMPLES,
@@ -238,14 +242,15 @@ def bethe_estimate(pi: SimplexPopulation, model, samples: int = DEFAULT_SAMPLES,
         roots = rng.integers(0, model.q, size=b)
         ds = model.dspec.sample(rng, b)
         ks, tables, hs, idx = _planted_draw(model, pi, khat, np.repeat(roots, ds), rng)
-        logs = _log_products(model.family.contract(ks, tables, pi.points[idx], hs), ds)
+        ends = np.concatenate([[0], np.cumsum(ds)])
+        logs = _log_products(model.family.contract(ks, tables, pi.points[idx], hs), ends)
         top = logs.max(axis=1)
         log_z = top + np.log(np.exp(logs - top[:, None]).sum(axis=1))
         ks, tables, hs, idx = _planted_draw(model, pi, model.kspec, roots, rng)
         messages = model.family.contract(ks, tables, pi.points[idx], hs)
         mixes = (messages * pi.points[pi.draw(rng, roots)]).sum(axis=1)
-        if np.any(mixes <= 0):
-            raise NumericalUnderflow("nonpositive factor mix")
+        if not mixes.min() > 0:
+            raise NumericalUnderflow("factor mix not positive")
         vals[done:done + b] = log_z - coeff * (ks - 1) * np.log(mixes)
     value = float(vals.mean())
     stderr = float(vals.std(ddof=1)) / math.sqrt(samples)
@@ -314,11 +319,10 @@ def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
             for start in range(0, len(targets), batch):
                 at = slice(ends[start], ends[min(start + batch, len(targets))])
                 messages = model.family.contract(ks[at], tables[at], pop.points[idx[at]], hs[at])
-                acc = _log_products(messages, dstar[start:start + batch])
-                acc -= acc.max(axis=1, keepdims=True)
-                new_pts = np.exp(acc)
+                acc = _log_products(messages, ends[start:start + batch + 1])
+                new_pts = np.exp(acc - acc.max(axis=1, keepdims=True))
                 norms = new_pts.sum(axis=1, keepdims=True)
-                if np.any(norms <= 0) or np.any(~np.isfinite(norms)):
+                if not (norms.min() > 0 and norms.max() < np.inf):
                     raise NumericalUnderflow("point normaliser underflowed")
                 pop.points[targets[start:start + batch]] = new_pts / norms
         pop.generation += 1

@@ -198,7 +198,10 @@ class CompiledArity(NamedTuple):
     colours: np.ndarray              # (q**k, q) spin counts of each tuple
     table_cdf: np.ndarray            # (q**k, tables) CDF of P(psi) psi(tuple)
     rooted_cdf: np.ndarray           # (k*q*tables*q**(k-1),) rooted (table, tuple) CDFs
-    other_colours: np.ndarray        # (q**(k-1), k-1) spins of the other slots
+    rooted_scale: float              # cell of x is floor(x * rooted_scale), monotone in x
+    rooted_guide: np.ndarray         # per cell, the first rooted_cdf entry in it or later
+    rooted_table: np.ndarray         # table id of each rooted_cdf entry
+    rooted_others: np.ndarray        # (len(rooted_cdf), k-1) other slots' spins of each entry
     oriented: np.ndarray             # (distinct, q**(k-1), q) tables read from one slot
     orientation: np.ndarray          # (tables*k,) index into oriented of table t, slot h
 
@@ -348,14 +351,17 @@ class WeightFamily:
             rooted = np.cumsum(rooted, axis=1) / rooted.sum(axis=1, keepdims=True)
             rooted[:, -1] = 1.0
             rooted += 2.0 * np.arange(k * q)[:, None]
-            others = np.indices((q,) * (k - 1)).reshape(k - 1, q ** (k - 1)).T
+            scale = 4.0 * rooted.shape[1]  # guide cells per unit: 4 per entry (docs/notes.md)
+            cells = (rooted.ravel() * scale).astype(np.int64)
+            guide = np.searchsorted(cells, np.arange(cells[-1] + 1))
+            ids = np.indices((k * q, len(tabs)) + (q,) * (k - 1)).reshape(k + 1, -1)
             faces = np.stack([np.moveaxis(t, h, 0).reshape(q, -1).T.ravel()
                               for t in tabs for h in range(k)])
             distinct, orientation = np.unique(faces, axis=0, return_inverse=True)
             arity[k] = CompiledArity(flat, self.masses[k],
                                      _parity_coefficients(q, k, flat),
                                      joint.sum(axis=0) / joint.sum(), colours, cdf.T,
-                                     rooted.ravel(), others,
+                                     rooted.ravel(), scale, guide, ids[1].copy(), ids[2:].T.copy(),
                                      distinct.reshape(-1, q ** (k - 1), q),
                                      orientation.ravel())
         values = np.concatenate([v.ravel() for v in self.marginal_sums().values()])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from factorcavity import bethe, models
 from factorcavity.bethe import SimplexPopulation
-from factorcavity.errors import NoCrossing, SymViolation, ZeroMean
+from factorcavity.errors import NoCrossing, NumericalUnderflow, SymViolation, ZeroMean
 from factorcavity.graphmodel import DegreeSpec, WeightFamily
 from factorcavity.models import ModelSpec
 from factorcavity.rng import substream
@@ -132,7 +132,7 @@ def _lambda_form(model, pop, samples, seed):
 
     ds = model.dspec.sample(rng, samples)
     _, messages = contract(bethe.size_biased(model.kspec), int(ds.sum()), False)
-    z = np.exp(bethe._log_products(messages, ds)).sum(axis=1)
+    z = np.exp(bethe._log_products(messages, np.concatenate([[0], np.cumsum(ds)]))).sum(axis=1)
     ks, mix = contract(model.kspec, samples, True)
     vals = (z * np.log(z) / (model.q * xi ** ds) - model.dspec.mean
             / (xi * model.kspec.mean) * (ks - 1) * mix * np.log(mix))
@@ -185,16 +185,87 @@ def test_rooted_cdf_is_the_conditional_planted_law():
     blocks = form.rooted_cdf.reshape(k * q, -1) - 2.0 * np.arange(k * q)[:, None]
     assert np.all(blocks[:, -1] == 1.0)
     steps = np.diff(blocks, axis=1, prepend=0.0).ravel()
-    rest = q ** (k - 1)
     for pick, step in enumerate(steps):
-        h, s = divmod(pick // (2 * rest), q)
-        table = pick // rest % 2
-        tau = list(form.other_colours[pick % rest])
+        h, s = divmod(pick // (2 * q ** (k - 1)), q)
+        table = form.rooted_table[pick]
+        tau = list(form.rooted_others[pick])
         tau.insert(h, s)
         weights = fam.masses[k][:, None] * np.stack(
             [np.take(t, s, axis=h).ravel() for t in fam.tables[k]])
         expected = fam.masses[k][table] * fam.tables[k][table][tuple(tau)] / weights.sum()
         assert step == pytest.approx(expected, abs=1e-12)
+
+
+def _guide_families():
+    """Families whose rooted CDFs the guided search must read like the
+    binary search: the block model at q = 2-5, LDGM (6, 3), the mixed
+    2/3-spin model, and a random q=3, k=3 family that is not slot-symmetric
+    and whose entries span nine decades, so that cells crowd."""
+    rng = substream(11, 0)
+    tables = tuple(10.0 ** rng.uniform(-9, 0, (3, 3, 3)) for _ in range(2))
+    assert not np.allclose(tables[0], tables[0].transpose(1, 0, 2))
+    found = {f"sbm q={q}": models.sbm(q, 2.0, 3).family for q in (2, 3, 4, 5)}
+    found["ldgm"] = models.ldgm(0.1, DegreeSpec.constant(6), DegreeSpec.constant(3)).family
+    found["kspin"] = models.kspin(1.0, K23).family
+    found["random"] = WeightFamily(q=3, tables={3: tables}, masses={3: np.array([0.4, 0.6])})
+    return found
+
+
+@pytest.mark.parametrize("name", list(_guide_families()))
+def test_rooted_pick_is_the_binary_search(name):
+    # keys at each block's start 2b, at every CDF value (the block's end
+    # 2b + 1 among them), just below each end, and uniform in each block;
+    # the guided search must return np.searchsorted's pick for every one
+    family = _guide_families()[name]
+    rng = substream(12, 0)
+    for k, form in family.compiled.arity.items():
+        cdf = form.rooted_cdf
+        assert np.all(np.diff(cdf) >= 0)
+        starts = 2.0 * np.arange(k * family.q)
+        keys = np.concatenate([starts, cdf, np.nextafter(starts + 1.0, 0.0),
+                               np.repeat(starts, 500) + rng.random(500 * len(starts))])
+        expected = np.searchsorted(cdf, keys)
+        assert np.array_equal(bethe._rooted_pick(form, keys), expected)
+        # no key starts past its pick, and the crowded cells of the last
+        # two families send keys on to the binary search
+        first = form.rooted_guide[(keys * form.rooted_scale).astype(np.int64)]
+        assert np.all(first <= expected)
+        if name in ("kspin", "random"):
+            assert np.any(expected - first > 1)
+
+
+@pytest.mark.parametrize("name", list(_guide_families()))
+def test_rooted_lookups_match_the_division_decode(name):
+    # entry i of the rooted CDF is table i // q^(k-1) mod T with the other
+    # slots' spins of tuple i mod q^(k-1), in row-major order
+    family = _guide_families()[name]
+    q = family.q
+    for k, form in family.compiled.arity.items():
+        pick = np.arange(len(form.rooted_cdf))
+        rest = q ** (k - 1)
+        other_colours = np.indices((q,) * (k - 1)).reshape(k - 1, rest).T
+        assert np.array_equal(form.rooted_table, pick // rest % len(form.masses))
+        assert np.array_equal(form.rooted_others, other_colours[pick % rest])
+
+
+def test_population_refuses_non_finite_points():
+    # NaN compares false with every bound, so each check must be phrased
+    # to fail on it
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="simplex"):
+            SimplexPopulation(np.array([[bad, bad], [0.5, 0.5], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match="simplex"):
+        SimplexPopulation(np.array([[np.nan, 1.0], [0.5, 0.5], [0.5, 0.5]]))
+
+
+def test_estimate_refuses_a_nan_factor_mix():
+    # with no variable-side messages (degree 0) a NaN population reaches
+    # only the factor mix, which must raise instead of giving a NaN value
+    model = models.ldgm(0.1, DegreeSpec.constant(0), DegreeSpec.constant(3))
+    pop = SimplexPopulation.uniform_atom(2)
+    pop.points[:] = np.nan
+    with pytest.raises(NumericalUnderflow, match="factor mix"):
+        bethe.bethe_estimate(pop, model, samples=100)
 
 
 def test_population_draws_points_of_the_asked_colour():
@@ -667,6 +738,39 @@ def test_estimate_stream_reproduces_on_a_fixed_population():
         value, stderr = _SEEDED_ESTIMATE[name]
         assert est.value == pytest.approx(value, rel=0, abs=1e-13)
         assert est.stderr == pytest.approx(stderr, rel=0, abs=1e-13)
+
+
+# model -> {candidate: (value, stderr)} of sup_bethe at the default budget
+# (2000 points in batches of 256, 100 sweeps, 20,000 samples), seed 0;
+# recorded with a binary search into the rooted CDF.  The first and third
+# models end on the uniform atom to rounding; the other two are won by a
+# dynamics run, and the kspin ones draw arities 2 and 3 in one sweep.
+_SEEDED_SUP = {
+    "sbm beta=2.5": {"uniform-atom": (0.18550605406586362, 0.0),
+                     "pd-uniform-perturbed": (0.1855060540658635, 2.6614890415374117e-18),
+                     "pd-planted-polarized": (0.1855060540658635, 2.7157889271944126e-18)},
+    "sbm beta=4.0": {"uniform-atom": (0.10773987059557366, 0.0),
+                     "pd-uniform-perturbed": (0.10774007323746318, 2.598258410099426e-07),
+                     "pd-planted-polarized": (0.1077406406525906, 2.4982288914812692e-06)},
+    "kspin beta=1.0": {"uniform-atom": (0.6931471805599453, 0.0),
+                       "pd-uniform-perturbed": (0.6931471805599454, 7.850658562336326e-19),
+                       "pd-planted-polarized": (0.6931471805599454, 7.850658562336326e-19)},
+    "kspin beta=2.0 d=4": {"uniform-atom": (0.6931471805599453, 0.0),
+                           "pd-uniform-perturbed": (0.681367672947708, 0.007457718102888647),
+                           "pd-planted-polarized": (0.7823564709274853, 0.012781720634069517)},
+}
+
+
+def test_default_budget_sup_bethe_reproduces():
+    pinned = {"sbm beta=2.5": models.sbm(3, 2.5, 5), "sbm beta=4.0": models.sbm(3, 4.0, 5),
+              "kspin beta=1.0": models.kspin(1.0, K23),
+              "kspin beta=2.0 d=4": models.kspin(2.0, K23, d=4.0)}
+    for name, model in pinned.items():
+        candidates = bethe.sup_bethe(model, 0).candidates
+        assert candidates.keys() == _SEEDED_SUP[name].keys()
+        for tag, (value, stderr) in _SEEDED_SUP[name].items():
+            assert candidates[tag][0] == pytest.approx(value, rel=0, abs=1e-12), (name, tag)
+            assert candidates[tag][1] == pytest.approx(stderr, rel=0, abs=1e-12), (name, tag)
 
 
 def test_seeded_values_reproduce():
