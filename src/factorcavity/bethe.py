@@ -350,6 +350,8 @@ def sup_bethe(model, seed: int = 0, *,
     every dynamics run has converged to the Nishimori line (too few sweeps
     leave a population whose planted-form value is not B of any
     population); returns which candidate won and every candidate's value.
+    A run that ends with every point at exactly 1/q takes the atom's closed
+    form with stderr 0 in place of a Monte-Carlo estimate (docs/notes.md).
     """
     if samples < 2 or sweeps < 0:
         raise ValueError(f"need at least 2 samples and no negative sweeps, got {samples}, {sweeps}")
@@ -357,6 +359,9 @@ def sup_bethe(model, seed: int = 0, *,
     for flag, init in enumerate(_INITS):
         child = int(substream(seed, 81, flag).integers(2 ** 62))
         pop = population_dynamics(model, pop_size, sweeps, init, child)
+        if np.all(pop.points == 1.0 / model.q):
+            candidates[f"pd-{init}"] = candidates["uniform-atom"]
+            continue
         est = bethe_estimate(pop, model, samples, child + 1)
         candidates[f"pd-{init}"] = (est.value, est.stderr)
     best = max(v for v, _ in candidates.values())

@@ -394,9 +394,14 @@ class WeightFamily:
             form = self.compiled.arity[k]
             rows = slice(None) if single else np.flatnonzero(ks == k)
             if form.parity is not None:
-                bias = points[rows, :k - 1, 0] - points[rows, :k - 1, 1]
-                cp = form.parity[tables[rows]] * np.prod(bias, axis=1)
-                out[rows] = np.stack([1.0 + cp, 1.0 - cp], axis=1)
+                cp = form.parity[tables[rows]]
+                if k > 1:  # arity 1 is the empty product and reads no slot
+                    fed = points[rows]
+                    bias = fed[:, 0, 0] - fed[:, 0, 1]
+                    for j in range(1, k - 1):
+                        bias *= fed[:, j, 0] - fed[:, j, 1]
+                    cp *= bias
+                out[rows, 0], out[rows, 1] = 1.0 + cp, 1.0 - cp
                 continue
             grid = np.ones((len(tables[rows]), 1))
             for j in range(k - 1):

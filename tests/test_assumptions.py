@@ -201,11 +201,14 @@ def _kernel_families():
     mixed = WeightFamily(q=2, tables={2: (1.0 + 0.3 * _parity_tensor(2),),
                                       3: (rng.uniform(0.5, 2.0, (2, 2, 2)),)},
                          masses={2: np.array([1.0]), 3: np.array([1.0])})
+    # parity rows of arity 1 (the empty product) share calls with wider ones
+    parity = _two_spin_parity({k: ((0.5, -0.25), (0.3, 0.7)) for k in (1, 2, 3, 5)})
     return {"shared": (shared, {3: 5}), "pair": (pair, {2: 2}),
-            "unary": (unary, {1: 2, 2: 2}), "mixed": (mixed, {2: 1, 3: 3})}
+            "unary": (unary, {1: 2, 2: 2}), "mixed": (mixed, {2: 1, 3: 3}),
+            "parity": (parity, {1: 2, 2: 2, 3: 2, 5: 2})}
 
 
-@pytest.mark.parametrize("name", ["shared", "pair", "unary", "mixed"])
+@pytest.mark.parametrize("name", ["shared", "pair", "unary", "mixed", "parity"])
 def test_kernel_matches_the_direct_sum(name):
     family, distinct = _kernel_families()[name]
     for k, count in distinct.items():
@@ -213,6 +216,11 @@ def test_kernel_matches_the_direct_sum(name):
     if name == "mixed":
         assert family.compiled.arity[2].parity is not None
         assert family.compiled.arity[3].parity is None
+    if name == "parity":
+        assert all(form.parity is not None for form in family.compiled.arity.values())
+        # a call of arity-1 rows alone is fed no slot: S = 1 +- c, the table
+        got = family.contract([1, 1, 1], [0, 1, 0], np.zeros((3, 0, 2)), [0, 0, 0])
+        assert got.tolist() == [family.table(1, t).tolist() for t in (0, 1, 0)]
     rng = np.random.default_rng(len(name))
     width = max(family.arities) - 1
     for n in (0, 1, 2, 3, 40):

@@ -81,6 +81,16 @@ def test_uniform_atom_estimate_matches_annealed():
             3 * est.stderr, 1e-12)
 
 
+def test_estimate_at_the_uniform_atom_is_its_closed_form():
+    # sup_bethe takes B at an exact uniform atom from bethe_uniform_atom; with
+    # constant degrees every sample is that closed form up to rounding
+    for q, beta, d in ((2, 0.7, 3), (3, 2.5, 5), (4, 1.3, 4), (5, 3.0, 8)):
+        model = models.sbm(q, beta, d)
+        est = bethe.bethe_estimate(SimplexPopulation.uniform_atom(q), model, samples=2000, seed=q)
+        assert abs(est.value - bethe.bethe_uniform_atom(model)) <= 1e-12
+        assert est.stderr <= 1e-12
+
+
 def test_useless_channel_estimate_constant_for_any_population():
     model = models.ldgm(0.5, D2, K23)
     rng = substream(3, 0)
@@ -742,9 +752,11 @@ def test_estimate_stream_reproduces_on_a_fixed_population():
 
 # model -> {candidate: (value, stderr)} of sup_bethe at the default budget
 # (2000 points in batches of 256, 100 sweeps, 20,000 samples), seed 0;
-# recorded with a binary search into the rooted CDF.  The first and third
-# models end on the uniform atom to rounding; the other two are won by a
-# dynamics run, and the kspin ones draw arities 2 and 3 in one sweep.
+# recorded with a binary search into the rooted CDF.  The first model ends
+# within rounding of the uniform atom, so both runs are estimated; the third
+# ends exactly on it, so both take its closed form with no estimate; the
+# other two are won by a dynamics run, and the kspin ones draw arities 2 and
+# 3 in one sweep.
 _SEEDED_SUP = {
     "sbm beta=2.5": {"uniform-atom": (0.18550605406586362, 0.0),
                      "pd-uniform-perturbed": (0.1855060540658635, 2.6614890415374117e-18),
@@ -753,20 +765,35 @@ _SEEDED_SUP = {
                      "pd-uniform-perturbed": (0.10774007323746318, 2.598258410099426e-07),
                      "pd-planted-polarized": (0.1077406406525906, 2.4982288914812692e-06)},
     "kspin beta=1.0": {"uniform-atom": (0.6931471805599453, 0.0),
-                       "pd-uniform-perturbed": (0.6931471805599454, 7.850658562336326e-19),
-                       "pd-planted-polarized": (0.6931471805599454, 7.850658562336326e-19)},
+                       "pd-uniform-perturbed": (0.6931471805599453, 0.0),
+                       "pd-planted-polarized": (0.6931471805599453, 0.0)},
     "kspin beta=2.0 d=4": {"uniform-atom": (0.6931471805599453, 0.0),
                            "pd-uniform-perturbed": (0.681367672947708, 0.007457718102888647),
                            "pd-planted-polarized": (0.7823564709274853, 0.012781720634069517)},
 }
 
 
-def test_default_budget_sup_bethe_reproduces():
-    pinned = {"sbm beta=2.5": models.sbm(3, 2.5, 5), "sbm beta=4.0": models.sbm(3, 4.0, 5),
-              "kspin beta=1.0": models.kspin(1.0, K23),
-              "kspin beta=2.0 d=4": models.kspin(2.0, K23, d=4.0)}
-    for name, model in pinned.items():
+def test_default_budget_sup_bethe_reproduces(monkeypatch):
+    estimates = []
+    estimate = bethe.bethe_estimate
+
+    def counted(*args):
+        estimates.append(args)
+        return estimate(*args)
+
+    monkeypatch.setattr(bethe, "bethe_estimate", counted)
+    # name -> (model, the number of Monte-Carlo estimates sup_bethe draws)
+    pinned = {"sbm beta=2.5": (models.sbm(3, 2.5, 5), 2),
+              "sbm beta=4.0": (models.sbm(3, 4.0, 5), 2),
+              "kspin beta=1.0": (models.kspin(1.0, K23), 0),
+              "kspin beta=2.0 d=4": (models.kspin(2.0, K23, d=4.0), 2)}
+    for name, (model, count) in pinned.items():
+        estimates.clear()
         candidates = bethe.sup_bethe(model, 0).candidates
+        assert len(estimates) == count, name
+        if count == 0:
+            atom = (bethe.bethe_uniform_atom(model), 0.0)
+            assert candidates["pd-uniform-perturbed"] == candidates["pd-planted-polarized"] == atom
         assert candidates.keys() == _SEEDED_SUP[name].keys()
         for tag, (value, stderr) in _SEEDED_SUP[name].items():
             assert candidates[tag][0] == pytest.approx(value, rel=0, abs=1e-12), (name, tag)
