@@ -13,6 +13,7 @@ that condition, never a certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -179,16 +180,18 @@ def _planted_draw(model, pop: SimplexPopulation, klaw: DegreeSpec,
     model.family.xi()  # the rooted draw is the planted law only under SYM
     ks = klaw.sample(rng, len(roots))
     hs, tables = np.zeros((2, len(roots)), dtype=np.int64)
-    others = np.zeros((len(roots), int(ks.max(initial=1)) - 1), dtype=np.int64)
+    others = np.zeros((int(ks.max(initial=1)) - 1, len(roots)), dtype=np.int64)
     for k in np.flatnonzero(np.bincount(ks)).tolist():
         rows = np.flatnonzero(ks == k)
         form = model.family.compiled.arity[k]
         hs[rows] = rng.integers(0, k, size=len(rows))
-        pick = _rooted_pick(form, 2 * (hs[rows] * model.q + roots[rows]) + rng.random(len(rows)))
-        tables[rows] = form.rooted_table[pick]
-        others[rows, :k - 1] = form.rooted_others[pick]
-    # slots past a row's own arity draw colour 0 and are never read
-    return ks, tables, hs, pop.draw(rng, others)
+        pick = _rooted_pick(form, 2 * (hs.take(rows) * model.q + roots.take(rows))
+                            + rng.random(len(rows)))
+        tables[rows] = form.rooted_table.take(pick)
+        for j in range(k - 1):
+            others[j, rows] = form.rooted_others[:, j].take(pick)
+    # slots past a row's arity draw colour 0, never read; uniforms fill in C order
+    return ks, tables, hs, pop.draw(rng, others.T)
 
 
 def _rooted_pick(form, keys: np.ndarray) -> np.ndarray:
@@ -209,9 +212,16 @@ def _log_products(messages: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """
     if not (messages.min(initial=np.inf) > 0 and messages.max(initial=0.0) < np.inf):
         raise NumericalUnderflow("message component out of range")
-    padded = np.concatenate([np.log(messages), np.zeros((1, messages.shape[1]))])
+    padded = np.zeros((len(messages) + 1, messages.shape[1]))
+    np.log(messages, out=padded[:-1])
     sums = np.add.reduceat(padded, ends[:-1] - ends[0], axis=0)
-    return np.where((ends[1:] > ends[:-1])[:, None], sums, 0.0)
+    sums[ends[1:] == ends[:-1]] = 0.0
+    return sums
+
+
+def _row_max(values: np.ndarray) -> np.ndarray:
+    """``values.max(axis=1)`` bit for bit, column by column: numpy's short-axis max is slow."""
+    return functools.reduce(np.maximum, values.T)
 
 
 def bethe_estimate(pi: SimplexPopulation, model, samples: int = DEFAULT_SAMPLES,
@@ -243,12 +253,13 @@ def bethe_estimate(pi: SimplexPopulation, model, samples: int = DEFAULT_SAMPLES,
         ds = model.dspec.sample(rng, b)
         ks, tables, hs, idx = _planted_draw(model, pi, khat, np.repeat(roots, ds), rng)
         ends = np.concatenate([[0], np.cumsum(ds)])
-        logs = _log_products(model.family.contract(ks, tables, pi.points[idx], hs), ends)
-        top = logs.max(axis=1)
+        logs = _log_products(model.family.contract(ks, tables, pi.points.take(idx, axis=0), hs),
+                             ends)
+        top = _row_max(logs)
         log_z = top + np.log(np.exp(logs - top[:, None]).sum(axis=1))
         ks, tables, hs, idx = _planted_draw(model, pi, model.kspec, roots, rng)
-        messages = model.family.contract(ks, tables, pi.points[idx], hs)
-        mixes = (messages * pi.points[pi.draw(rng, roots)]).sum(axis=1)
+        messages = model.family.contract(ks, tables, pi.points.take(idx, axis=0), hs)
+        mixes = (messages * pi.points.take(pi.draw(rng, roots), axis=0)).sum(axis=1)
         if not mixes.min() > 0:
             raise NumericalUnderflow("factor mix not positive")
         vals[done:done + b] = log_z - coeff * (ks - 1) * np.log(mixes)
@@ -318,9 +329,10 @@ def population_dynamics(model, pop_size: int = DEFAULT_POPULATION,
             ends = np.concatenate([[0], np.cumsum(dstar)])
             for start in range(0, len(targets), batch):
                 at = slice(ends[start], ends[min(start + batch, len(targets))])
-                messages = model.family.contract(ks[at], tables[at], pop.points[idx[at]], hs[at])
+                messages = model.family.contract(ks[at], tables[at],
+                                                 pop.points.take(idx[at], axis=0), hs[at])
                 acc = _log_products(messages, ends[start:start + batch + 1])
-                new_pts = np.exp(acc - acc.max(axis=1, keepdims=True))
+                new_pts = np.exp(acc - _row_max(acc)[:, None])
                 norms = new_pts.sum(axis=1, keepdims=True)
                 if not (norms.min() > 0 and norms.max() < np.inf):
                     raise NumericalUnderflow("point normaliser underflowed")

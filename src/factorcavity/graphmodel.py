@@ -135,9 +135,7 @@ class DegreeSpec:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` iid draws, bit for bit ``rng.choice(support, size, p=mass)``."""
-        if size == 0:
-            return np.zeros(0, dtype=np.int64)
-        return self.values[self.cdf.searchsorted(rng.random(size), side="right")]
+        return self.values.take(self.cdf.searchsorted(rng.random(size), side="right"))
 
     def pmf(self, value: int) -> float:
         try:
@@ -403,8 +401,8 @@ class WeightFamily:
                     cp *= bias
                 out[rows, 0], out[rows, 1] = 1.0 + cp, 1.0 - cp
                 continue
-            grid = np.ones((len(tables[rows]), 1))
-            for j in range(k - 1):
+            grid = points[rows, 0] if k > 1 else np.ones((len(ks), 1))[rows]
+            for j in range(1, k - 1):
                 grid = (grid[:, :, None] * points[rows, j][:, None, :]).reshape(len(grid), -1)
             if len(form.oriented) == 1:
                 out[rows] = grid @ form.oriented[0]

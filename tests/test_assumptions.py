@@ -203,12 +203,20 @@ def _kernel_families():
                          masses={2: np.array([1.0]), 3: np.array([1.0])})
     # parity rows of arity 1 (the empty product) share calls with wider ones
     parity = _two_spin_parity({k: ((0.5, -0.25), (0.3, 0.7)) for k in (1, 2, 3, 5)})
+    # no parity tables: arity-2 rows read slot 0 of a width-2 feed, in calls
+    # shared with arity-1 rows, which read no slot, and arity-3 rows
+    generic = WeightFamily(q=3, tables={1: tuple(rng.uniform(0.5, 2.0, (2, 3))),
+                                        2: (rng.uniform(0.5, 2.0, (3, 3)),),
+                                        3: (rng.uniform(0.5, 2.0, (3, 3, 3)),)},
+                           masses={1: np.array([0.4, 0.6]), 2: np.array([1.0]),
+                                   3: np.array([1.0])})
     return {"shared": (shared, {3: 5}), "pair": (pair, {2: 2}),
             "unary": (unary, {1: 2, 2: 2}), "mixed": (mixed, {2: 1, 3: 3}),
-            "parity": (parity, {1: 2, 2: 2, 3: 2, 5: 2})}
+            "parity": (parity, {1: 2, 2: 2, 3: 2, 5: 2}),
+            "generic": (generic, {1: 2, 2: 2, 3: 3})}
 
 
-@pytest.mark.parametrize("name", ["shared", "pair", "unary", "mixed", "parity"])
+@pytest.mark.parametrize("name", ["shared", "pair", "unary", "mixed", "parity", "generic"])
 def test_kernel_matches_the_direct_sum(name):
     family, distinct = _kernel_families()[name]
     for k, count in distinct.items():
@@ -221,6 +229,8 @@ def test_kernel_matches_the_direct_sum(name):
         # a call of arity-1 rows alone is fed no slot: S = 1 +- c, the table
         got = family.contract([1, 1, 1], [0, 1, 0], np.zeros((3, 0, 2)), [0, 0, 0])
         assert got.tolist() == [family.table(1, t).tolist() for t in (0, 1, 0)]
+    if name == "generic":
+        assert all(form.parity is None for form in family.compiled.arity.values())
     rng = np.random.default_rng(len(name))
     width = max(family.arities) - 1
     for n in (0, 1, 2, 3, 40):

@@ -292,6 +292,40 @@ def test_population_draws_points_of_the_asked_colour():
         SimplexPopulation(pts[:2])
 
 
+def test_population_draw_reads_colours_in_index_order():
+    # the uniforms fill the colours' shape in C order whatever their memory
+    # layout, so colours held slot-major and drawn through their transpose
+    # give the same indices as a C-ordered copy
+    pop = SimplexPopulation(substream(4, 1).dirichlet([1.0] * 3, size=50))
+    colours = substream(4, 2).integers(0, 3, size=(40, 4))
+    want = pop.draw(substream(4, 3), colours)
+    for view in (np.asfortranarray(colours), np.ascontiguousarray(colours.T).T):
+        assert not view.flags.c_contiguous
+        assert np.array_equal(pop.draw(substream(4, 3), view), want)
+
+
+def test_log_products_zero_the_variables_with_no_messages():
+    # powers of two, so every log is a multiple of ln 2; ends are offsets into
+    # a longer batch, as population dynamics passes them
+    messages = np.array([[1.0, 2.0], [4.0, 0.5], [8.0, 1.0], [0.25, 2.0]])
+    ln2 = math.log(2.0)
+    cases = {"first": ([10, 10, 12, 14], [[0, 0], [2, 0], [1, 1]]),
+             "middle": ([10, 12, 12, 14], [[2, 0], [0, 0], [1, 1]]),
+             "last": ([10, 12, 14, 14], [[2, 0], [1, 1], [0, 0]]),
+             "runs": ([10, 10, 10, 11, 14, 14, 14], [[0, 0], [0, 0], [0, 1],
+                                                     [3, 0], [0, 0], [0, 0]])}
+    for name, (ends, halvings) in cases.items():
+        got = bethe._log_products(messages, np.array(ends))
+        want = ln2 * np.array(halvings, dtype=float)
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-15, name
+        empty = np.diff(ends) == 0
+        assert np.all(got[empty] == 0.0), name
+    # a batch in which no variable has a message
+    got = bethe._log_products(np.zeros((0, 3)), np.array([7, 7, 7]))
+    assert got.shape == (2, 3) and np.all(got == 0.0)
+
+
 def test_planted_draw_refuses_a_family_without_sym():
     # the rooted draw is the planted law only when every (slot, spin) block
     # has the same normaliser, so a non-constant marginal sum must raise
