@@ -23,8 +23,9 @@ except NoCrossing as err:
 
 columns = ("param", "B_uniform", "B_pd_uniform_init", "B_pd_planted_init",
            "phi_a", "stderr")
-table = [(r.param, r.b_uniform, r.b_pd_uniform, r.b_pd_planted, r.phi_a,
-          r.sup_se) for r in rows]
+# each row's candidates come in the order sup_bethe tries them
+table = [(r.param, *(v for v, _ in r.sup.candidates.values()), r.phi_a,
+          r.sup.stderr) for r in rows]
 print(csv_body(columns, table))
 
 print("== pair-correlation onset for the spin model (comparator ln 2) ==")
@@ -33,5 +34,5 @@ scan = lrc_threshold(beta=1.5, kspec=DegreeSpec.constant(2),
                      sweeps=60, samples=20_000)
 print(f"mean-degree bracket: {scan.bracket}")
 for row in scan.rows:
-    print(f"  d={row.param}: sup={row.sup:.5f} (+-{row.sup_se:.5f}) "
+    print(f"  d={row.param}: sup={row.sup.value:.5f} (+-{row.sup.stderr:.5f}) "
           f"vs ln2={math.log(2):.5f}")

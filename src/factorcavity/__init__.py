@@ -17,12 +17,12 @@ from .bethe import (BetheEstimate, MIResult, ScanResult, SimplexPopulation,
                     threshold_scan)
 from .exact import (BoltzmannSummary, BPState, bethe_instance, boltzmann_sample,
                     bp_marginals, bp_run, expected_weight, information_term,
-                    mi_monte_carlo, nishimori_check,
-                    partition_function, two_point)
+                    mi_monte_carlo, nishimori_check, partition_function, pin,
+                    sample_nishimori, two_point)
 from .graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
-                         WeightFamily, pair_uniform, pin, sample_degree_sequence,
-                         sample_nishimori, sample_null, sample_planted,
-                         sample_pruned_sequence, uniform_assignment)
+                         WeightFamily, pair_uniform, sample_degree_sequence,
+                         sample_null, sample_planted, sample_pruned_sequence,
+                         uniform_assignment)
 from .models import ModelSpec, kspin, ldgm, ldgm_channel, lrc_threshold, sbm
 from .assumptions import (CheckReport, certify_pos, check_all, check_bal,
                           check_deg, check_pos, check_sym)

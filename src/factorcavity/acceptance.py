@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assumptions, bethe, exact, models
-from .graphmodel import DegreeSpec, DegreeSequence, FactorGraph, pin
+from .graphmodel import DegreeSpec, DegreeSequence, FactorGraph
 from .io import csv_body
 from .rng import substream
 
@@ -234,7 +234,7 @@ def criterion_9_bp_trees(seed: int) -> CriterionResult:
     for s_idx, model in enumerate(specs):
         for t_idx in range(2):
             tree_seed = seed + 17 * s_idx + t_idx
-            g = pin(random_tree_graph(model, 10, tree_seed), 2, tree_seed)
+            g = exact.pin(random_tree_graph(model, 10, tree_seed), 2, tree_seed)
             state = exact.bp_run(g, max_iters=400, damping=0.0, tol=1e-13)
             summary = exact.partition_function(g)
             worst = max(worst,

@@ -20,6 +20,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from . import assumptions, exact
 from .errors import (AssumptionViolation, NoCrossing, NumericalUnderflow,
                      ZeroMean)
 from .graphmodel import DegreeSpec
@@ -397,9 +398,6 @@ def mutual_information(model, seed: int = 0, *,
     proved by ``certify_pos`` where the tables allow it; otherwise
     ``check_pos`` runs ``pos_trials`` falsifier trials.
     """
-    from . import assumptions
-    from .exact import information_term
-
     for report in (assumptions.check_deg(model.dspec, model.kspec),
                    assumptions.check_sym(model.family),
                    assumptions.check_bal(model.family)):
@@ -410,26 +408,20 @@ def mutual_information(model, seed: int = 0, *,
     if not report.passed:
         raise AssumptionViolation(report)
 
-    xi = model.family.xi()
-    info = information_term(model.family, model.kspec)
+    info, offset = exact.information_offset(model)
     sup = sup_bethe(model, seed, pop_size=pop_size, sweeps=sweeps, samples=samples)
-    coeff = model.dspec.mean / (xi * model.kspec.mean)
-    value = math.log(model.q) + coeff * info - sup.value
-    return MIResult(value=value, stderr=sup.stderr, information_term=info, sup=sup)
+    return MIResult(value=offset - sup.value, stderr=sup.stderr,
+                    information_term=info, sup=sup)
 
 
 @dataclass
 class ScanRow:
+    """One grid point: its annealed value, comparator and supremum search."""
+
     param: float
-    b_uniform: float
-    b_pd_uniform: float
-    b_pd_uniform_se: float
-    b_pd_planted: float
-    b_pd_planted_se: float
     phi_a: float
-    sup: float
-    sup_se: float
     comparator: float
+    sup: SupBethe
 
 
 @dataclass
@@ -461,14 +453,7 @@ def threshold_scan(model_family: Callable[[float], object], param_grid: Sequence
         comp = phi_a if comparator == "annealed" else float(comparator)
         sup = sup_bethe(model, seed + 104729 * idx,
                         pop_size=pop_size, sweeps=sweeps, samples=samples)
-        uni = sup.candidates["pd-uniform-perturbed"]
-        pla = sup.candidates["pd-planted-polarized"]
-        row = ScanRow(param=param, b_uniform=sup.candidates["uniform-atom"][0],
-                      b_pd_uniform=uni[0], b_pd_uniform_se=uni[1],
-                      b_pd_planted=pla[0], b_pd_planted_se=pla[1],
-                      phi_a=phi_a, sup=sup.value, sup_se=sup.stderr,
-                      comparator=comp)
-        rows.append(row)
+        rows.append(ScanRow(param=param, phi_a=phi_a, comparator=comp, sup=sup))
         # absolute epsilon so a zero-stderr candidate cannot cross on rounding
         excess = sup.value - comp
         if excess > 3.0 * sup.stderr + 1e-9:

@@ -20,11 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import acceptance, assumptions, bethe, exact, io, models
+from . import __version__, acceptance, assumptions, bethe, exact, io, models
 from .errors import (AssumptionViolation, ConfigError, FactorCavityError,
                      NoCrossing)
 from .graphmodel import (FactorGraph, sample_degree_sequence, sample_null,
-                         sample_nishimori, sample_planted, uniform_assignment)
+                         sample_planted, uniform_assignment)
 from .rng import substream
 
 WORKER_ENV = "FACTORCAVITY_WORKERS"
@@ -69,8 +69,8 @@ class ExperimentConfig:
         name = self.model.get("name")
         if name not in models.MODELS:
             raise ConfigError(f"model '{name}' is not registered")
-        if not self.grid_param:
-            raise ConfigError("grid.param is required")
+        if not self.grid_param or not isinstance(self.grid_param, str):
+            raise ConfigError("grid.param must name a model parameter")
         return self
 
     @classmethod
@@ -80,17 +80,24 @@ class ExperimentConfig:
         unknown = sorted(map(str, set(raw) - set(known)))
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}; {operation} reads {known}")
+        for key in ("model", "grid", "budget"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise ConfigError(f"config key '{key}' must be a mapping")
         grid = raw.get("grid", {})
-        return cls(
-            operation=operation,
-            model=raw.get("model", {}),
-            grid_param=grid.get("param", ""),
-            grid_values=list(grid.get("values", [])),
-            seed=int(raw.get("seed", 0)),
-            budget=dict(raw.get("budget", {})),
-            comparator=raw.get("comparator", "annealed"),
-            workers=int(raw.get("workers", 1)),
-        ).validate()
+        try:
+            config = cls(
+                operation=operation,
+                model=raw.get("model", {}),
+                grid_param=grid.get("param", ""),
+                grid_values=list(grid.get("values", [])),
+                seed=int(raw.get("seed", 0)),
+                budget=dict(raw.get("budget", {})),
+                comparator=raw.get("comparator", "annealed"),
+                workers=int(raw.get("workers", 1)),
+            )
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"malformed {operation} config: {err}") from err
+        return config.validate()
 
 
 def _grid_model(config: ExperimentConfig, value):
@@ -129,8 +136,9 @@ def run_threshold(config: ExperimentConfig):
 def _scan_rows(rows):
     columns = ("param", "B_uniform", "B_pd_uniform_init", "B_pd_planted_init",
                "phi_a", "stderr", "sup", "comparator")
-    table = [(r.param, r.b_uniform, r.b_pd_uniform, r.b_pd_planted,
-              r.phi_a, r.sup_se, r.sup, r.comparator) for r in rows]
+    # the three candidates in the order sup_bethe tries them
+    table = [(r.param, *(v for v, _ in r.sup.candidates.values()),
+              r.phi_a, r.sup.stderr, r.sup.value, r.comparator) for r in rows]
     return columns, table
 
 
@@ -148,7 +156,6 @@ def _git_describe() -> str:
             return out.stdout.strip()
     except (OSError, subprocess.SubprocessError):
         pass
-    from . import __version__
     return f"package-{__version__}"
 
 
@@ -196,7 +203,10 @@ def _parse_spec_flag(text: str):
             node["poisson"]["max_support"] = int(parts[2])
         return node
     if ":" in text:
-        return {int(p.split(":")[0]): float(p.split(":")[1]) for p in text.split(",")}
+        try:
+            return {int(k): float(v) for k, v in (p.split(":") for p in text.split(","))}
+        except ValueError as err:
+            raise ConfigError(f"degree spec {text!r} needs 'value:mass' parts") from err
     return int(text)
 
 
@@ -292,8 +302,8 @@ def _graph(args, model):
         sigma = uniform_assignment(args.n, model.q, substream(args.seed, 5))
         g = sample_planted(seq, sigma, model.family, args.theta, args.seed)
     else:
-        sigma, g = sample_nishimori(args.n, model.dspec, model.kspec, model.family,
-                                    args.seed)
+        sigma, g = exact.sample_nishimori(args.n, model.dspec, model.kspec,
+                                          model.family, args.seed)
     return g, {"sigma": sigma.tolist()}, inputs
 
 

@@ -1,4 +1,4 @@
-"""Exact desk-scale oracles: enumeration, sampling, and instance BP.
+"""Exact desk-scale oracles: enumeration, sampling, pins, and instance BP.
 
 Partition functions, marginals and pair joints come from enumerating every
 state, vectorised in blocks, with log-domain accumulation in one pass;
@@ -269,6 +269,53 @@ def expected_weight(seq: DegreeSequence, family: WeightFamily, sigma) -> float:
     return out / denom
 
 
+def sample_nishimori(n: int, dspec, kspec, family: WeightFamily, seed: int):
+    """Draw (assignment, graph) from the partition-function-tilted pair law.
+
+    The assignment is drawn with mass proportional to the expected graph
+    weight given the degree sequence (by enumeration), then a graph is
+    planted around it.  Past desk size this raises ``CapExceeded``; there,
+    a uniform ground truth with its planted graph (``sample_planted``, or
+    ``factorcavity sample --kind planted``) stands in for the pair by
+    contiguity.
+    """
+    seq = sample_degree_sequence(n, dspec, kspec, seed)
+    child = int(substream(seed, 3).integers(2 ** 62))
+    n_states = family.q ** n
+    cost = n_states * family.q ** seq.total_factor_degree
+    if cost > PAIRING_TERM_CAP:
+        raise CapExceeded("exact assignment tilting (for a uniform ground truth "
+                          "use sample --kind planted)", cost, PAIRING_TERM_CAP)
+    sigmas = _state_digits(family.q, n, np.arange(n_states))
+    weights = np.array([expected_weight(seq, family, sigma) for sigma in sigmas])
+    pick = int(substream(seed, 4).choice(n_states, p=weights / weights.sum()))
+    return sigmas[pick], sample_planted(seq, sigmas[pick], family, 0, child)
+
+
+def pin(g: FactorGraph, theta: int, seed: int, *, mode: str = "direct",
+        window: float = 10.0) -> FactorGraph:
+    """Append hard unary pins to a graph.
+
+    direct mode pins the first ``theta`` variables to uniformly random
+    spins.  budgeted mode draws a pin budget uniformly from (0, window),
+    includes each variable independently with probability budget/n, and pins
+    the included set to a Boltzmann sample of the unpinned graph.  The pinned
+    partition function counts only assignments consistent with every pin.
+    """
+    if mode == "direct":
+        if not 0 <= theta <= g.n:
+            raise ValueError("theta must be between 0 and n")
+        spins = substream(seed, 20).integers(0, g.q, size=theta)
+        return g.with_pins(enumerate(spins))
+    if mode == "budgeted":
+        rng = substream(seed, 21)
+        theta_draw = rng.uniform(0.0, window)
+        include = np.flatnonzero(rng.random(g.n) < theta_draw / g.n)
+        sample = boltzmann_sample(g, 1, int(rng.integers(2 ** 62)))[0]
+        return g.with_pins((int(v), int(sample[v])) for v in include)
+    raise ValueError("mode must be 'direct' or 'budgeted'")
+
+
 def nishimori_check(n: int, dspec, kspec, family: WeightFamily, *, seed: int = 0) -> float:
     """Termwise check of the tilted-pair identity on one degree sequence.
 
@@ -445,6 +492,14 @@ def information_term(family: WeightFamily, kspec) -> float:
     return out
 
 
+def information_offset(model) -> tuple:
+    """(info, ln q + E[d]/(xi E[k]) info), info the information term: the MI
+    formula before a free entropy (sup B, or a sampled one) is subtracted."""
+    info = information_term(model.family, model.kspec)
+    coeff = model.dspec.mean / (model.family.xi() * model.kspec.mean)
+    return info, math.log(model.q) + coeff * info
+
+
 class MIMonteCarlo(NamedTuple):
     value: float
     stderr: float
@@ -472,10 +527,8 @@ def mi_monte_carlo(model, n: int, graphs: int, seed: int) -> MIMonteCarlo:
     finite-size gap is not included in the reported standard error.
     """
     phi = _planted_free_entropy(model, n, graphs, seed)
-    xi = model.family.xi()
-    info = information_term(model.family, model.kspec)
-    coeff = model.dspec.mean / (xi * model.kspec.mean)
-    return MIMonteCarlo(math.log(model.q) + coeff * info - phi.value, phi.stderr)
+    _, offset = information_offset(model)
+    return MIMonteCarlo(offset - phi.value, phi.stderr)
 
 
 # ---------------------------------------------------------------------------

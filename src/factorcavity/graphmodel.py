@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import AttemptsExhausted, CapExceeded, SymViolation, ZeroMean
+from .errors import AttemptsExhausted, SymViolation, ZeroMean
 from .rng import substream
 
 MAX_DEGREE = 64
@@ -608,6 +608,8 @@ class FactorGraph:
     @classmethod
     def from_text(cls, text: str, family: WeightFamily) -> "FactorGraph":
         rows = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
+        if not rows:
+            raise ValueError("graph text has no 'n m q' header")
         n, m, q = (int(x) for x in rows[0])
         if q != family.q:
             raise ValueError("family alphabet does not match the header")
@@ -618,12 +620,11 @@ class FactorGraph:
             vals = [int(x) for x in row]
             if len(vals) == 2:
                 pins.append((vals[0], vals[1]))
+            elif len(vals) < 3 or len(vals) != 2 + vals[0]:
+                raise ValueError("factor line length does not match its arity")
             else:
-                k, ti = vals[0], vals[1]
-                if len(vals) != 2 + k:
-                    raise ValueError("factor line length does not match its arity")
                 factor_vars.append(vals[2:])
-                factor_tables.append(ti)
+                factor_tables.append(vals[1])
         if len(factor_vars) != m:
             raise ValueError("factor count does not match the header")
         g = cls.from_factors(family, (0,) * n, factor_vars, factor_tables, pins)
@@ -940,68 +941,3 @@ def sample_planted(seq: DegreeSequence, sigma: np.ndarray, family: WeightFamily,
                        meta={"construction": "planted",
                              "colouring_attempts": attempts,
                              "colouring_mcmc": False})
-
-
-def sample_nishimori(n: int, dspec: DegreeSpec, kspec: DegreeSpec, family: WeightFamily,
-                     seed: int):
-    """Draw (assignment, graph) from the partition-function-tilted pair law.
-
-    The assignment is drawn with mass proportional to the expected graph
-    weight given the degree sequence (by enumeration), then a graph is
-    planted around it.  Past desk size this raises ``CapExceeded``; there,
-    a uniform ground truth with its planted graph (``sample_planted``, or
-    ``factorcavity sample --kind planted``) stands in for the pair by
-    contiguity.
-    """
-    from . import exact
-
-    seq = sample_degree_sequence(n, dspec, kspec, seed)
-    child = int(substream(seed, 3).integers(2 ** 62))
-    n_states = family.q ** n
-    cost = n_states * family.q ** seq.total_factor_degree
-    if cost > exact.PAIRING_TERM_CAP:
-        raise CapExceeded("exact assignment tilting (for a uniform ground truth "
-                          "use sample --kind planted)", cost, exact.PAIRING_TERM_CAP)
-    weights = np.empty(n_states)
-    for s, sigma in enumerate(_all_assignments(n, family.q)):
-        weights[s] = exact.expected_weight(seq, family, sigma)
-    probs = weights / weights.sum()
-    pick = int(substream(seed, 4).choice(n_states, p=probs))
-    sigma = np.array(np.unravel_index(pick, (family.q,) * n), dtype=np.int64)
-    return sigma, sample_planted(seq, sigma, family, 0, child)
-
-
-def _all_assignments(n: int, q: int):
-    for idx in np.ndindex(*(q,) * n):
-        yield np.array(idx, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# pinning
-# ---------------------------------------------------------------------------
-
-
-def pin(g: FactorGraph, theta: int, seed: int, *, mode: str = "direct",
-        window: float = 10.0) -> FactorGraph:
-    """Append hard unary pins to a graph.
-
-    direct mode pins the first ``theta`` variables to uniformly random
-    spins.  budgeted mode draws a pin budget uniformly from (0, window),
-    includes each variable independently with probability budget/n, and pins
-    the included set to a Boltzmann sample of the unpinned graph.  The pinned partition function counts only
-    assignments consistent with every pin.
-    """
-    if mode == "direct":
-        if not 0 <= theta <= g.n:
-            raise ValueError("theta must be between 0 and n")
-        spins = substream(seed, 20).integers(0, g.q, size=theta)
-        return g.with_pins(enumerate(spins))
-    if mode == "budgeted":
-        from . import exact
-
-        rng = substream(seed, 21)
-        theta_draw = rng.uniform(0.0, window)
-        include = np.flatnonzero(rng.random(g.n) < theta_draw / g.n)
-        sample = exact.boltzmann_sample(g, 1, int(rng.integers(2 ** 62)))[0]
-        return g.with_pins((int(v), int(sample[v])) for v in include)
-    raise ValueError("mode must be 'direct' or 'budgeted'")

@@ -30,7 +30,10 @@ CSV_SCHEMA = "# factor-cavity schema v1"
 
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as err:
+            raise ConfigError(f"{path} is not valid YAML: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     return data
@@ -80,7 +83,7 @@ def model_from_config(node: Mapping) -> ModelSpec:
             if key in params:
                 params[key] = degree_spec_from_config(params[key])
         return MODELS[name](**params)
-    except (TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"cannot build model '{name}': {err}") from err
 
 

@@ -22,14 +22,13 @@ from .rng import substream
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """A named model: alphabet, degree specs, weight family, parameters.
+    """A named model: degree specs, weight family (whose alphabet is ``q``), parameters.
 
     ``params`` are exactly the keyword arguments that rebuild the model
     through ``MODELS[name]``.
     """
 
     name: str
-    q: int
     dspec: DegreeSpec
     kspec: DegreeSpec
     family: WeightFamily
@@ -38,6 +37,10 @@ class ModelSpec:
     def __post_init__(self):
         if not self.family.supports(self.kspec.support):
             raise ValueError("family arities must cover the arity spec")
+
+    @property
+    def q(self) -> int:
+        return self.family.q
 
 
 def _snap(c: float) -> float:
@@ -63,7 +66,7 @@ def ldgm(eta: float, dspec: DegreeSpec, kspec: DegreeSpec) -> ModelSpec:
         tables[k] = (1.0 + c * par, 1.0 - c * par)
         masses[k] = np.array([0.5, 0.5])
     family = WeightFamily(q=2, tables=tables, masses=masses)
-    return ModelSpec(name="ldgm", q=2, dspec=dspec, kspec=kspec, family=family,
+    return ModelSpec(name="ldgm", dspec=dspec, kspec=kspec, family=family,
                      params={"eta": eta, "dspec": dspec, "kspec": kspec})
 
 
@@ -98,8 +101,7 @@ def sbm(q: int, beta: float, d: int, *, assortative: bool = False) -> ModelSpec:
     sign = 1.0 if assortative else -1.0
     table = np.exp(sign * beta * np.eye(q))
     family = WeightFamily(q=q, tables={2: (table,)}, masses={2: np.array([1.0])})
-    return ModelSpec(name="sbm", q=q, dspec=dspec, kspec=DegreeSpec.constant(2),
-                     family=family,
+    return ModelSpec(name="sbm", dspec=dspec, kspec=DegreeSpec.constant(2), family=family,
                      params={"q": q, "beta": beta, "d": d, "assortative": assortative})
 
 
@@ -163,7 +165,7 @@ def kspin(beta: float, kspec: DegreeSpec, r: int = 6, *,
     family = WeightFamily(q=2, tables=tables, masses=masses)
     mean_degree = float(d) if d is not None else kspec.mean
     dspec = DegreeSpec.poisson(mean_degree)
-    return ModelSpec(name="kspin", q=2, dspec=dspec, kspec=kspec, family=family,
+    return ModelSpec(name="kspin", dspec=dspec, kspec=kspec, family=family,
                      params={"beta": beta, "kspec": kspec, "r": r, "d": mean_degree})
 
 

@@ -394,7 +394,7 @@ def test_uncertified_families_run_the_falsifier(name, falsifier_calls):
     with pytest.raises(_FalsifierCalled):
         assumptions.check_all(D2, kspec, family, pos_trials=7, seed=3)
     assert falsifier_calls == [(family, 7, 3)]
-    model = ModelSpec(name=name, q=family.q, dspec=D2, kspec=kspec, family=family)
+    model = ModelSpec(name=name, dspec=D2, kspec=kspec, family=family)
     if not assumptions.check_bal(family).passed:
         # BAL rejects the assortative table before POS is reached
         assert name == "assortative"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from factorcavity import cli, exact, io, models
+from factorcavity import bethe, cli, exact, io, models
 from factorcavity.graphmodel import DegreeSpec, FactorGraph
 
 
@@ -289,6 +289,72 @@ def test_threshold_command_finds_crossing(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "t.json").read_text())
     assert payload["bracket"] == [0.5, 3.5]
+
+
+def test_threshold_cells_are_the_sup_bethe_candidates(tmp_path):
+    # each CSV cell read back against sup_bethe run directly at the scan's
+    # per-point seed, so a column cannot be filled from the wrong candidate
+    cfg = {
+        "model": {"name": "sbm", "q": 2, "d": 3},
+        "grid": {"param": "beta", "values": [1.0, 2.0]},
+        "seed": 5,
+        "budget": {"pop_size": 150, "sweeps": 5, "samples": 2000},
+    }
+    path = tmp_path / "th.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    run_cli(["threshold", "--config", str(path), "--out", str(tmp_path / "t")])
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[1] == ("param,B_uniform,B_pd_uniform_init,B_pd_planted_init,"
+                        "phi_a,stderr,sup,comparator")
+    rows = [dict(zip(lines[1].split(","), map(float, ln.split(",")))) for ln in lines[2:]]
+    assert rows
+    for idx, row in enumerate(rows):
+        model = models.sbm(2, row["param"], 3)
+        sup = bethe.sup_bethe(model, 5 + 104729 * idx, pop_size=150, sweeps=5, samples=2000)
+        expected = {"B_uniform": sup.candidates["uniform-atom"][0],
+                    "B_pd_uniform_init": sup.candidates["pd-uniform-perturbed"][0],
+                    "B_pd_planted_init": sup.candidates["pd-planted-polarized"][0],
+                    "phi_a": bethe.annealed_free_entropy(model),
+                    "stderr": sup.stderr, "sup": sup.value}
+        assert {key: row[key] for key in expected} == expected
+    # the three candidate columns differ, so the mapping is pinned
+    assert any(len({r["B_uniform"], r["B_pd_uniform_init"], r["B_pd_planted_init"]}) == 3
+               for r in rows)
+
+
+@pytest.mark.parametrize("case", ["empty-graph", "short-factor-line", "spec-part-without-mass",
+                                  "yaml-syntax", "support-without-mass", "flat-sections",
+                                  "scalar-grid-values", "list-grid-param", "list-seed"])
+def test_malformed_input_exits_2_with_a_json_error(tmp_path, capsys, case):
+    # each input once raised an uncaught exception, which exits 1: the code
+    # for a failed hypothesis check
+    files = {"empty.graph": "", "short.graph": "3 1 2\n3\n",
+             "syntax.yaml": "model: {name: ldgm\n",
+             "no-mass.yaml": "model: {name: ldgm, eta: 0.1, dspec: {support: [2]}, kspec: 2}\n",
+             "flat.yaml": "model: ldgm\ngrid: [1]\n",
+             "values.yaml": "model: {name: sbm, q: 2, d: 3}\ngrid: {param: beta, values: 5}\n",
+             "param.yaml": "model: {name: sbm, q: 2, d: 3}\ngrid: {param: [beta], values: [1]}\n",
+             "seed.yaml": "model: {name: sbm, q: 2, d: 3}\ngrid: {param: beta, values: [1]}\n"
+                          "seed: [1]\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    model = ["--model", "sbm", "--q", "2", "--beta", "0.7", "--d", "3"]
+    argv = {
+        "empty-graph": ["exact", *model, "--graph", "empty.graph"],
+        "short-factor-line": ["exact", *model, "--graph", "short.graph"],
+        "spec-part-without-mass": ["check", "--model", "ldgm", "--eta", "0.1",
+                                   "--dspec", "2:0.5,3", "--kspec", "2"],
+        "yaml-syntax": ["check", "--config", "syntax.yaml"],
+        "support-without-mass": ["check", "--config", "no-mass.yaml"],
+        "flat-sections": ["mi-scan", "--config", "flat.yaml"],
+        "scalar-grid-values": ["mi-scan", "--config", "values.yaml"],
+        "list-grid-param": ["threshold", "--config", "param.yaml"],
+        "list-seed": ["mi-scan", "--config", "seed.yaml"],
+    }[case]
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run_cli(argv) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert set(error) == {"error", "message"}
 
 
 def test_worker_cap_env(monkeypatch):

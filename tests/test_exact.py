@@ -8,8 +8,9 @@ from scipy.stats import chi2
 
 from factorcavity import bethe, exact, models
 from factorcavity.errors import CapExceeded
+from factorcavity.exact import pin
 from factorcavity.graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
-                                     WeightFamily, pin, sample_degree_sequence,
+                                     WeightFamily, sample_degree_sequence,
                                      sample_null, sample_planted, slot_layout)
 from factorcavity.rng import substream
 
@@ -309,14 +310,14 @@ def test_mi_useless_channel_vanishes():
 def test_mi_constant_weights_vanishes():
     fam = WeightFamily(q=2, tables={2: (np.full((2, 2), 1.7),)},
                        masses={2: np.array([1.0])})
-    model = models.ModelSpec(name="flat", q=2, dspec=D2, kspec=K2, family=fam)
+    model = models.ModelSpec(name="flat", dspec=D2, kspec=K2, family=fam)
     mc = exact.mi_monte_carlo(model, 6, 40, seed=1)
     assert abs(mc.value) <= max(3 * mc.stderr, 1e-10)
 
 
 def test_mi_invariant_under_relabeling(permuted_alphabet):
     model = models.ldgm(0.3, D2, K2)
-    flipped = models.ModelSpec(name="ldgm-flip", q=2, dspec=D2, kspec=K2,
+    flipped = models.ModelSpec(name="ldgm-flip", dspec=D2, kspec=K2,
                                family=permuted_alphabet(model.family, [1, 0]))
     a = exact.mi_monte_carlo(model, 8, 60, seed=3)
     b = exact.mi_monte_carlo(flipped, 8, 60, seed=3)
@@ -337,7 +338,7 @@ def test_kl_density_zero_at_beta_zero():
 def test_kl_density_constant_weights_zero():
     fam = WeightFamily(q=2, tables={2: (np.full((2, 2), 1.3),)},
                        masses={2: np.array([1.0])})
-    model = models.ModelSpec(name="flat", q=2, dspec=D2, kspec=K2, family=fam)
+    model = models.ModelSpec(name="flat", dspec=D2, kspec=K2, family=fam)
     assert _kl_leading_term(model, 6, 20, seed=0)[0] == pytest.approx(0.0, abs=1e-12)
 
 

@@ -11,11 +11,12 @@ from scipy.stats import chi2, poisson
 
 from factorcavity import bethe, exact, models
 from factorcavity.errors import AttemptsExhausted, CapExceeded, ZeroMean
+from factorcavity.exact import pin, sample_nishimori
 from factorcavity.graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
-                                     WeightFamily, pair_uniform, pin,
-                                     sample_degree_sequence, sample_nishimori,
-                                     sample_null, sample_planted,
-                                     sample_pruned_sequence, uniform_assignment)
+                                     WeightFamily, pair_uniform,
+                                     sample_degree_sequence, sample_null,
+                                     sample_planted, sample_pruned_sequence,
+                                     uniform_assignment)
 from factorcavity.rng import substream
 
 D2 = DegreeSpec.constant(2)

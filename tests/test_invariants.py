@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from factorcavity import assumptions, bethe, exact, models
 from factorcavity.acceptance import random_tree_graph
-from factorcavity.graphmodel import DegreeSpec, WeightFamily, _parity_tensor, pin
+from factorcavity.exact import pin
+from factorcavity.graphmodel import DegreeSpec, WeightFamily, _parity_tensor
 from factorcavity.models import ModelSpec
 from factorcavity.rng import substream
 
@@ -60,7 +61,7 @@ def parity_models(draw):
         return models.ldgm(draw(st.floats(1e-3, 0.5)), dspec, kspec)
     cs = draw(st.lists(st.floats(0.0, 0.95), min_size=1, max_size=3))
     weights = draw(st.lists(st.integers(1, 4), min_size=len(cs), max_size=len(cs)))
-    return ModelSpec(name="parity", q=2, dspec=dspec, kspec=kspec,
+    return ModelSpec(name="parity", dspec=dspec, kspec=kspec,
                      family=_parity_family(kspec, cs, weights))
 
 
