@@ -7,7 +7,7 @@ import numpy as np
 
 from factorcavity import (DegreeSpec, bethe_instance, boltzmann_sample,
                           bp_marginals, bp_run, ldgm, nishimori_check,
-                          partition_function, sample_null, sbm, two_point)
+                          partition_function, sample_null, sbm)
 
 d2 = DegreeSpec.constant(2)
 k2 = DegreeSpec.constant(2)
@@ -18,7 +18,7 @@ g = sample_null(8, DegreeSpec.constant(3), k2, model.family, seed=5)
 summary = partition_function(g)
 print(f"log Z = {summary.log_z:.6f}")
 print(f"marginal of x0: {summary.marginals[0].round(4)}")
-print(f"pair-correlation score: {two_point(g):.4f}")
+print(f"pair-correlation score: {partition_function(g, want_pairs=True).two_point:.4f}")
 
 print("\n== exact Boltzmann samples ==")
 draws = boltzmann_sample(g, 5, seed=6)

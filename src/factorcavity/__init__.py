@@ -18,7 +18,7 @@ from .bethe import (BetheEstimate, MIResult, ScanResult, SimplexPopulation,
 from .exact import (BoltzmannSummary, BPState, bethe_instance, boltzmann_sample,
                     bp_marginals, bp_run, expected_weight, information_term,
                     mi_monte_carlo, nishimori_check, partition_function, pin,
-                    sample_nishimori, two_point)
+                    sample_nishimori)
 from .graphmodel import (DegreeSequence, DegreeSpec, FactorGraph,
                          WeightFamily, pair_uniform, sample_degree_sequence,
                          sample_null, sample_planted, sample_pruned_sequence,

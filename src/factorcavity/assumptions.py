@@ -7,6 +7,7 @@ a grid check.  POS has two kinds of evidence: ``certify_pos`` proves it from
 the tables of two-spin parity families with a symmetric coefficient law and
 of pairwise Potts families, and ``check_pos`` is a randomised falsifier for
 every other family, whose pass means only "no violation found".
+``checks`` yields the four reports in order; every gate reads that one list.
 """
 
 from __future__ import annotations
@@ -352,13 +353,18 @@ def check_pos(family: WeightFamily, *, trials: int, seed: int = 0) -> CheckRepor
     return CheckReport("POS", True, info=info)
 
 
+def checks(dspec: DegreeSpec, kspec: DegreeSpec, family: WeightFamily,
+           *, pos_trials: int, seed: int = 0):
+    """Yield the DEG, SYM, BAL and POS reports in that order, each built only
+    when it is drawn.  POS is the certificate where one exists, else
+    ``pos_trials`` falsifier trials."""
+    yield check_deg(dspec, kspec)
+    yield check_sym(family)
+    yield check_bal(family, seed=seed)
+    yield certify_pos(family) or check_pos(family, trials=pos_trials, seed=seed)
+
+
 def check_all(dspec: DegreeSpec, kspec: DegreeSpec, family: WeightFamily,
               *, pos_trials: int, seed: int = 0) -> dict:
-    """Run all four checkers; returns {name: CheckReport}.  POS is the
-    certificate where one exists, else ``pos_trials`` falsifier trials."""
-    return {
-        "DEG": check_deg(dspec, kspec),
-        "SYM": check_sym(family),
-        "BAL": check_bal(family, seed=seed),
-        "POS": certify_pos(family) or check_pos(family, trials=pos_trials, seed=seed),
-    }
+    """Run all four checks; returns {name: CheckReport}."""
+    return {r.name: r for r in checks(dspec, kspec, family, pos_trials=pos_trials, seed=seed)}

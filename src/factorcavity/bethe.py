@@ -393,20 +393,14 @@ def mutual_information(model, seed: int = 0, *,
                        samples: int = DEFAULT_SAMPLES) -> MIResult:
     """ln q + (E[d]/(xi E[k])) E[q^{-k} sum Lambda(psi)] - sup of the functional.
 
-    Checks the model hypotheses DEG, SYM, BAL and POS first, in that order,
-    and raises ``AssumptionViolation`` on the first that fails.  POS is
-    proved by ``certify_pos`` where the tables allow it; otherwise
-    ``check_pos`` runs ``pos_trials`` falsifier trials.
+    Draws the reports of ``assumptions.checks`` in order and raises
+    ``AssumptionViolation`` on the first that fails, so a later check does
+    not run.
     """
-    for report in (assumptions.check_deg(model.dspec, model.kspec),
-                   assumptions.check_sym(model.family),
-                   assumptions.check_bal(model.family)):
+    for report in assumptions.checks(model.dspec, model.kspec, model.family,
+                                     pos_trials=pos_trials, seed=seed):
         if not report.passed:
             raise AssumptionViolation(report)
-    report = (assumptions.certify_pos(model.family)
-              or assumptions.check_pos(model.family, trials=pos_trials, seed=seed))
-    if not report.passed:
-        raise AssumptionViolation(report)
 
     info, offset = exact.information_offset(model)
     sup = sup_bethe(model, seed, pop_size=pop_size, sweeps=sweeps, samples=samples)
@@ -428,7 +422,6 @@ class ScanRow:
 class ScanResult:
     rows: list
     bracket: tuple
-    crossing_param: float
 
 
 def threshold_scan(model_family: Callable[[float], object], param_grid: Sequence[float],
@@ -458,6 +451,6 @@ def threshold_scan(model_family: Callable[[float], object], param_grid: Sequence
         excess = sup.value - comp
         if excess > 3.0 * sup.stderr + 1e-9:
             lower = previous if previous is not None else param
-            return ScanResult(rows=rows, bracket=(lower, param), crossing_param=param)
+            return ScanResult(rows=rows, bracket=(lower, param))
         previous = param
     raise NoCrossing("functional never exceeded the comparator on the grid", rows=rows)

@@ -27,9 +27,8 @@ from .graphmodel import (FactorGraph, sample_degree_sequence, sample_null,
                          sample_planted, uniform_assignment)
 from .rng import substream
 
-WORKER_ENV = "FACTORCAVITY_WORKERS"
 # the config and budget keys each sweep command reads
-_CONFIG_KEYS = {"mi-scan": ("model", "grid", "seed", "budget", "workers"),
+_CONFIG_KEYS = {"mi-scan": ("model", "grid", "seed", "budget"),
                 "threshold": ("model", "grid", "seed", "budget", "comparator")}
 _BUDGET_KEYS = {"mi-scan": ("pop_size", "sweeps", "samples", "pos_trials"),
                 "threshold": ("pop_size", "sweeps", "samples")}
@@ -51,7 +50,6 @@ class ExperimentConfig:
     seed: int = 0
     budget: dict = field(default_factory=dict)
     comparator: object = "annealed"
-    workers: int = 1
 
     def validate(self):
         if not self.grid_values:
@@ -66,6 +64,11 @@ class ExperimentConfig:
             raise ConfigError(f"budget entries must be numbers: {err}") from err
         if any(v <= 0 for v in self.budget.values()):
             raise ConfigError("budget entries must be positive")
+        if self.comparator != "annealed":
+            try:
+                self.comparator = float(self.comparator)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"comparator must be 'annealed' or a number: {err}") from err
         name = self.model.get("name")
         if name not in models.MODELS:
             raise ConfigError(f"model '{name}' is not registered")
@@ -93,7 +96,6 @@ class ExperimentConfig:
                 seed=int(raw.get("seed", 0)),
                 budget=dict(raw.get("budget", {})),
                 comparator=raw.get("comparator", "annealed"),
-                workers=int(raw.get("workers", 1)),
             )
         except (TypeError, ValueError) as err:
             raise ConfigError(f"malformed {operation} config: {err}") from err
@@ -107,8 +109,7 @@ def _grid_model(config: ExperimentConfig, value):
 
 
 def _mi_point(payload):
-    config_dict, value, index = payload
-    config = ExperimentConfig(**config_dict)
+    config, value, index = payload
     model = _grid_model(config, value)
     child = int(substream(config.seed, 200, index).integers(2 ** 62))
     result = bethe.mutual_information(model, seed=child, **config.budget)
@@ -117,7 +118,7 @@ def _mi_point(payload):
 
 
 def run_mi_scan(config: ExperimentConfig, workers: int):
-    payloads = [(config.__dict__, v, i) for i, v in enumerate(config.grid_values)]
+    payloads = [(config, v, i) for i, v in enumerate(config.grid_values)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_mi_point, payloads))
@@ -382,9 +383,8 @@ def cmd_mi_scan(args) -> int:
     config = ExperimentConfig.from_file(args.config, "mi-scan")
     if args.seed is not None:
         config.seed = args.seed
-    workers = _worker_cap(args.workers or config.workers)
     started = time.time()
-    columns, rows = run_mi_scan(config, workers)
+    columns, rows = run_mi_scan(config, args.workers)
     csv_text = io.csv_body(columns, rows)
     manifest = _manifest("mi-scan", config.__dict__, config.seed, started, len(rows))
     _emit(args, csv_text, manifest)
@@ -399,7 +399,7 @@ def cmd_threshold(args) -> int:
     payload = error = None
     try:
         scan = run_threshold(config)
-        payload = {"bracket": list(scan.bracket), "crossing_param": scan.crossing_param}
+        payload = {"bracket": list(scan.bracket), "crossing_param": scan.bracket[1]}
     except NoCrossing as err:
         scan, error = err, {"type": "NoCrossing", "message": str(err)}
     columns, table = _scan_rows(scan.rows)
@@ -423,13 +423,6 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-
-def _worker_cap(requested: int) -> int:
-    cap = os.environ.get(WORKER_ENV)
-    if cap:
-        return max(1, min(int(requested or 1), int(cap)))
-    return max(1, int(requested or 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,8 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mi-scan", help="mutual information over a parameter grid")
     common(p, model_flags=False)
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"grid points run in parallel (capped by {WORKER_ENV})")
+    p.add_argument("--workers", type=int, default=1, help="grid points run in parallel")
     p.set_defaults(fn=cmd_mi_scan)
     p.set_defaults(seed=None)
 

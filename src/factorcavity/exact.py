@@ -41,7 +41,20 @@ class BoltzmannSummary:
     log_z: float
     marginals: np.ndarray
     pair_joint: Optional[np.ndarray] = None            # (n, n, q, q)
-    two_point: Optional[float] = None
+
+    @property
+    def two_point(self) -> Optional[float]:
+        """|mu(s_x = s_y = 0) - mu(s_x = 0) mu(s_y = 0)| summed over ordered pairs
+        of distinct variables, over n^2 (the worst spin pair at each (x, y) for
+        q > 2), so a product measure scores exactly zero; None without pairs."""
+        if self.pair_joint is None:
+            return None
+        n, q = self.marginals.shape
+        prod = self.marginals[:, None, :, None] * self.marginals[None, :, None, :]
+        dev = np.abs(self.pair_joint - prod)
+        val = dev[:, :, 0, 0].copy() if q == 2 else dev.reshape(n, n, q * q).max(axis=2)
+        np.fill_diagonal(val, 0.0)
+        return float(val.sum() / n ** 2)
 
 
 def assignment_log_weight(g: FactorGraph, sigma) -> float:
@@ -110,8 +123,8 @@ def _log_weight_blocks(g: FactorGraph, cap: int):
 def partition_function(g: FactorGraph, *, want_pairs: bool = False) -> BoltzmannSummary:
     """Exact log Z and marginals by full enumeration.
 
-    With ``want_pairs`` also accumulates all pairwise joint marginals and the
-    averaged total-variation correlation scalar.  One pass: sums are kept
+    With ``want_pairs`` also accumulates all pairwise joint marginals, from
+    which the summary's ``two_point`` is read.  One pass: sums are kept
     relative to the running maximum log weight, rescaled when it rises.  A
     state's one-hot vector is a leading part, fixed within a block, and a
     trailing part X, the same in every block; so a block adds its leading
@@ -150,28 +163,7 @@ def partition_function(g: FactorGraph, *, want_pairs: bool = False) -> Boltzmann
         return BoltzmannSummary(top + math.log(z), marg)
     joint[split:, split:] = (xt * tail) @ xt.T
     joint = (joint / z).reshape(n, q, n, q).transpose(0, 2, 1, 3)
-    return BoltzmannSummary(top + math.log(z), marg, joint, _two_point_from_joint(joint, marg))
-
-
-def _two_point_from_joint(joint: np.ndarray, marg: np.ndarray) -> float:
-    # distinct pairs only, so a product measure scores exactly zero; the
-    # normalisation stays 1/n^2
-    n, q = marg.shape
-    prod = marg[:, None, :, None] * marg[None, :, None, :]
-    dev = np.abs(joint - prod)
-    val = dev[:, :, 0, 0].copy() if q == 2 else dev.reshape(n, n, q * q).max(axis=2)
-    np.fill_diagonal(val, 0.0)
-    return float(val.sum() / n ** 2)
-
-
-def two_point(g: FactorGraph) -> float:
-    """Averaged absolute pair-correlation of the Boltzmann distribution.
-
-    For q = 2 this is |mu(s_x = s_y = +1) - mu(s_x = +1) mu(s_y = +1)|
-    summed over ordered pairs (x, y) of distinct variables and divided by
-    n^2; for larger alphabets the worst spin pair is taken at every (x, y).
-    """
-    return float(partition_function(g, want_pairs=True).two_point)
+    return BoltzmannSummary(top + math.log(z), marg, joint)
 
 
 def boltzmann_sample(g: FactorGraph, count: int, seed: int) -> np.ndarray:

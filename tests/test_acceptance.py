@@ -5,9 +5,10 @@ pass feeds the determinism check).  Every criterion prints its own verdict
 line and asserts independently.
 """
 
+import numpy as np
 import pytest
 
-from factorcavity import acceptance
+from factorcavity import acceptance, assumptions, models
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +81,19 @@ def test_verdicts_stable_under_seed_variation():
         result = fn(seed)
         print(result.line())
         assert result.passed, result.line()
+
+
+def test_criterion_08_runs_the_falsifier_on_the_assortative_table_only(monkeypatch):
+    # ldgm and kspin are certified, so criterion 8 draws no trials for them
+    calls = []
+    falsifier = assumptions.check_pos
+
+    def spy(family, *, trials, seed=0):
+        calls.append((family, trials, seed))
+        return falsifier(family, trials=trials, seed=seed)
+
+    monkeypatch.setattr(assumptions, "check_pos", spy)
+    assert acceptance.criterion_8_pos_falsifier(acceptance.DEFAULT_SEED).passed
+    assert [(trials, seed) for _, trials, seed in calls] == [(10_000, acceptance.DEFAULT_SEED)]
+    assortative = models.sbm(2, 1.0, 3, assortative=True).family
+    assert np.array_equal(calls[0][0].tables[2], assortative.tables[2])

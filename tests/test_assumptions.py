@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from factorcavity import assumptions, bethe, models
+from factorcavity.errors import AssumptionViolation
 from factorcavity.graphmodel import DegreeSpec, WeightFamily, _parity_tensor
 from factorcavity.models import ModelSpec
 from factorcavity.rng import substream
@@ -101,6 +102,14 @@ def test_pos_passes_certified_families():
     rep = assumptions.check_pos(models.ldgm(0.2, D2, K23).family, trials=400, seed=1)
     assert rep.passed
     assert rep.info["semantics"] == "no-violation-found"
+
+
+def test_pos_passes_many_table_kspin():
+    # POS is certified for kspin, so no gate runs the falsifier on it: here
+    # it sees the 72 coupling tables of each arity
+    rep = assumptions.check_pos(models.kspin(1.0, K23, d=2.0).family, trials=300, seed=2)
+    assert rep.passed
+    assert rep.info["evaluations"] == 600
 
 
 def test_pos_fails_assortative():
@@ -395,9 +404,12 @@ def test_uncertified_families_run_the_falsifier(name, falsifier_calls):
         assumptions.check_all(D2, kspec, family, pos_trials=7, seed=3)
     assert falsifier_calls == [(family, 7, 3)]
     model = ModelSpec(name=name, dspec=D2, kspec=kspec, family=family)
-    if not assumptions.check_bal(family).passed:
-        # BAL rejects the assortative table before POS is reached
-        assert name == "assortative"
+    if name == "assortative":
+        # BAL rejects the assortative table, so POS is never drawn
+        with pytest.raises(AssumptionViolation) as err:
+            bethe.mutual_information(model, seed=3, pos_trials=7)
+        assert err.value.report.name == "BAL"
+        assert falsifier_calls == [(family, 7, 3)]
         return
     with pytest.raises(_FalsifierCalled):
         bethe.mutual_information(model, seed=3, pos_trials=7)

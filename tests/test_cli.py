@@ -357,13 +357,25 @@ def test_malformed_input_exits_2_with_a_json_error(tmp_path, capsys, case):
     assert set(error) == {"error", "message"}
 
 
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.setenv(cli.WORKER_ENV, "2")
-    assert cli._worker_cap(8) == 2
-    assert cli._worker_cap(1) == 1
-    monkeypatch.delenv(cli.WORKER_ENV)
-    assert cli._worker_cap(8) == 8
-    assert cli._worker_cap(None) == 1
+@pytest.mark.parametrize("comparator, read", [
+    ([1], None), ({"a": 1}, None), ("abc", None), ("1e-3", 0.001),
+], ids=["list", "mapping", "word", "numeric-string"])
+def test_threshold_comparator_is_annealed_or_a_number(tmp_path, capsys, comparator, read):
+    # converted once, when the config is validated, before any grid point runs
+    from factorcavity.errors import ConfigError
+
+    cfg = {"model": {"name": "sbm", "q": 2, "d": 3}, "grid": {"param": "beta", "values": [1.0]},
+           "budget": {"pop_size": 150, "sweeps": 2, "samples": 100}, "comparator": comparator}
+    path = tmp_path / "th.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    if read is not None:
+        assert cli.ExperimentConfig.from_file(path, "threshold").comparator == read
+        return
+    with pytest.raises(ConfigError, match="comparator"):
+        cli.ExperimentConfig.from_file(path, "threshold")
+    assert run_cli(["threshold", "--config", str(path)]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "ConfigError" and "comparator" in error["message"]
 
 
 def test_config_validation_errors(tmp_path):
@@ -403,7 +415,7 @@ def test_config_file_rejects_unknown_top_level_keys(tmp_path):
 
     cfg = {"model": {"name": "ldgm", "dspec": 2, "kspec": 2},
            "grid": {"param": "eta", "values": [0.3]}, "seed": 1,
-           "budget": {"pop_size": 150}, "workers": 1}
+           "budget": {"pop_size": 150}}
     path = tmp_path / "ok.yaml"
     path.write_text(yaml.safe_dump(cfg))
     config = cli.ExperimentConfig.from_file(path, "mi-scan")
@@ -419,6 +431,7 @@ def test_config_file_rejects_unknown_top_level_keys(tmp_path):
     ("threshold", {"budget": {"pop_size": 150, "pos_trials": 50}}, "pos_trials"),
     ("threshold", {"workers": 2}, "workers"),
     ("mi-scan", {"comparator": 0.5}, "comparator"),
+    ("mi-scan", {"workers": 2}, "workers"),
 ])
 def test_config_rejects_keys_its_command_does_not_read(tmp_path, capsys, command, extra, key):
     # such a key would change the manifest digest and nothing else

@@ -117,7 +117,7 @@ def test_enumeration_matches_termwise_oracle(monkeypatch, chunk_floats, q, n, pi
     dev = np.abs(joint - marg[:, None, :, None] * marg[None, :, None, :])
     cell = dev[:, :, 0, 0] if q == 2 else dev.max(axis=(2, 3))
     np.fill_diagonal(cell, 0.0)
-    assert exact.two_point(g) == pytest.approx(cell.sum() / n ** 2, abs=1e-12)
+    assert summary.two_point == pytest.approx(cell.sum() / n ** 2, abs=1e-12)
     assert exact.partition_function(g).log_z == pytest.approx(log_z, abs=1e-12)
     # the sampler reads the same log weights: inverse-CDF picks in
     # lexicographic state order, from its own substream
@@ -221,7 +221,7 @@ def test_boltzmann_marginals_sbm():
 
 
 def test_two_point_product_measure():
-    assert exact.two_point(_empty_graph(4)) == 0.0
+    assert exact.partition_function(_empty_graph(4), want_pairs=True).two_point == 0.0
 
 
 def test_two_point_two_variable_hand_value():
@@ -236,7 +236,8 @@ def test_two_point_two_variable_hand_value():
     off = abs(joint_00 - marg * marg)
     expected = 2 * off / 4.0
     assert expected > 0
-    assert exact.two_point(g) == pytest.approx(expected, abs=1e-12)
+    two_point = exact.partition_function(g, want_pairs=True).two_point
+    assert two_point == pytest.approx(expected, abs=1e-12)
 
 
 def test_pair_correlations_field():
@@ -248,13 +249,14 @@ def test_pair_correlations_field():
     assert corr.shape == (4, 4, 2, 2)
     # each pair block sums to zero: joint and product share the marginals
     assert np.abs(corr.sum(axis=(2, 3))).max() < 1e-12
-    assert exact.partition_function(g).pair_joint is None
+    plain = exact.partition_function(g)
+    assert plain.pair_joint is None and plain.two_point is None
 
 
 def test_two_point_weak_coupling_vanishes():
     model = models.kspin(1e-6, DegreeSpec.constant(2), r=2, d=2.0)
     g = sample_null(6, D2, K2, model.family, seed=7)
-    assert exact.two_point(g) <= 1e-6
+    assert exact.partition_function(g, want_pairs=True).two_point <= 1e-6
 
 
 # ---------------------------------------------------------------------------
